@@ -1,16 +1,17 @@
-// Cold vs incremental re-prediction latency (PR 8): on a 20-table synthetic
-// BI case, replays one mutation of each kind (no-op, single-table row
-// append, add table, drop table, rename column, replace cells) and times
-// AutoBi::PredictIncremental with a pre-seeded IncrementalState against a
-// cold Predict on the same post-change tables. Bit-identity between the two
-// (JSON model export + degradation flags) is enforced in-binary: any
-// divergence prints FATAL and exits nonzero, so the timing numbers can never
-// mask a correctness regression.
+// Cold vs memo re-prediction latency: on a 20-table synthetic BI case,
+// replays one mutation of each kind (no-op, single-table row append, add
+// table, drop table, rename column, replace cells) and times
+// AutoBi::PredictIncremental over a PredictCache warmed by a predict of the
+// base tables — so only the tables and table pairs the mutation touched are
+// recomputed — against an uncached Predict on the same post-change tables.
+// Bit-identity between the two (JSON model export, join graph, degradation
+// flags) is enforced in-binary: any divergence prints FATAL and exits
+// nonzero, so the timing numbers can never mask a correctness regression.
 //
 // Usage: bench_incremental [--json] [--tables N] [--reps N] [--threads N]
 //   --json   emit one machine-readable JSON object (consumed by
-//            scripts/bench_smoke.sh -> BENCH_pr8.json; the smoke gates
-//            append_rows.speedup >= 5 and every kind's bit_identical).
+//            scripts/bench_smoke.sh, which gates append_rows.speedup and
+//            every kind's bit_identical).
 
 #include <algorithm>
 #include <cstdio>
@@ -24,8 +25,8 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/auto_bi.h"
-#include "core/incremental.h"
 #include "core/model_export.h"
+#include "core/predict_cache.h"
 #include "synth/bi_generator.h"
 
 namespace autobi {
@@ -79,7 +80,7 @@ struct MutationKind {
 void MutateNoop(std::vector<Table>*) {}
 
 // Appends ~2% fresh rows to the largest table (the dashboard-refresh case
-// the delta path is built for: one fact table grew, everything else is
+// the memos are built for: one fact table grew, everything else is
 // byte-identical).
 void MutateAppendRows(std::vector<Table>* tables) {
   Table& t = (*tables)[LargestTable(*tables)];
@@ -133,7 +134,7 @@ const MutationKind kKinds[] = {
 struct KindResult {
   std::string name;
   double cold_ms = 0.0;
-  double incremental_ms = 0.0;
+  double memo_ms = 0.0;
   double speedup = 0.0;
   bool bit_identical = false;
   IncrementalStats stats;
@@ -144,18 +145,17 @@ struct KindResult {
   std::exit(1);
 }
 
-AutoBiResult MustPredictIncremental(const AutoBi& predictor,
-                                    const std::vector<Table>& tables,
-                                    IncrementalState* state) {
+AutoBiResult MustPredict(const AutoBi& predictor,
+                         const std::vector<Table>& tables, bool incremental) {
   StatusOr<AutoBiResult> result =
-      predictor.PredictIncremental(tables, nullptr, state);
-  if (!result.ok()) {
-    Fatal("PredictIncremental failed: " + result.status().ToString());
-  }
+      incremental ? predictor.PredictIncremental(tables, nullptr)
+                  : predictor.Predict(tables, nullptr);
+  if (!result.ok()) Fatal("Predict failed: " + result.status().ToString());
   return std::move(result.value());
 }
 
-KindResult RunKind(const MutationKind& kind, const AutoBi& predictor,
+KindResult RunKind(const MutationKind& kind, const LocalModel& model,
+                   const AutoBiOptions& options,
                    const std::vector<Table>& base, int reps) {
   KindResult out;
   out.name = kind.name;
@@ -163,56 +163,56 @@ KindResult RunKind(const MutationKind& kind, const AutoBi& predictor,
   std::vector<Table> mutated = base;
   kind.apply(&mutated);
 
-  // Incremental timing: every rep re-seeds a fresh state from the base
-  // tables (untimed) so each measurement is a genuine first delta run, not
-  // a no-op warm start over already-committed state.
-  AutoBiResult incr;
-  double incr_best = 1e100;
+  // Memo timing: every rep warms a fresh cache with the base tables
+  // (untimed) so each measurement is a genuine first run after the change,
+  // not a re-run over pairs the previous rep already memoized.
+  AutoBiResult memo;
+  double memo_best = 1e100;
   for (int r = 0; r < reps; ++r) {
-    IncrementalState state;
-    MustPredictIncremental(predictor, base, &state);
+    PredictCache cache;
+    AutoBiOptions cached = options;
+    cached.cache = &cache;
+    AutoBi predictor(&model, cached);
+    MustPredict(predictor, base, /*incremental=*/false);
     Timer timer;
-    incr = MustPredictIncremental(predictor, mutated, &state);
-    incr_best = std::min(incr_best, timer.Seconds());
-    if (!incr.incremental.used) Fatal(out.name + ": delta path not taken");
+    memo = MustPredict(predictor, mutated, /*incremental=*/true);
+    memo_best = std::min(memo_best, timer.Seconds());
+    if (!memo.incremental.used) Fatal(out.name + ": no memo entry reused");
   }
-  out.incremental_ms = incr_best * 1e3;
-  out.stats = incr.incremental;
+  out.memo_ms = memo_best * 1e3;
+  out.stats = memo.incremental;
 
+  AutoBi uncached(&model, options);
   AutoBiResult cold;
   double cold_best = 1e100;
   for (int r = 0; r < reps; ++r) {
     Timer timer;
-    StatusOr<AutoBiResult> result = predictor.Predict(mutated, nullptr);
-    if (!result.ok()) Fatal("Predict failed: " + result.status().ToString());
+    cold = MustPredict(uncached, mutated, /*incremental=*/false);
     cold_best = std::min(cold_best, timer.Seconds());
-    cold = std::move(result.value());
   }
   out.cold_ms = cold_best * 1e3;
-  out.speedup = out.incremental_ms > 0 ? out.cold_ms / out.incremental_ms : 0;
+  out.speedup = out.memo_ms > 0 ? out.cold_ms / out.memo_ms : 0;
 
-  StatusOr<std::string> incr_json = ExportJson(mutated, incr.model);
+  StatusOr<std::string> memo_json = ExportJson(mutated, memo.model);
   StatusOr<std::string> cold_json = ExportJson(mutated, cold.model);
-  out.bit_identical = incr_json.ok() && cold_json.ok() &&
-                      *incr_json == *cold_json &&
-                      incr.degradation.Any() == cold.degradation.Any() &&
-                      incr.graph.StructurallyEqual(cold.graph);
+  out.bit_identical = memo_json.ok() && cold_json.ok() &&
+                      *memo_json == *cold_json &&
+                      memo.degradation.Any() == cold.degradation.Any() &&
+                      memo.graph.StructurallyEqual(cold.graph);
   if (!out.bit_identical) {
-    Fatal(out.name + ": incremental result diverged from cold Predict");
+    Fatal(out.name + ": memo result diverged from uncached Predict");
   }
   return out;
 }
 
 std::string KindJson(const KindResult& r) {
   return StrFormat(
-      "    \"%s\": {\"cold_ms\": %.3f, \"incremental_ms\": %.3f, "
+      "    \"%s\": {\"cold_ms\": %.3f, \"memo_ms\": %.3f, "
       "\"speedup\": %.2f, \"bit_identical\": %s, \"tables_reprofiled\": %zu, "
-      "\"tables_delta_merged\": %zu, \"pairs_rescored\": %zu, "
-      "\"pairs_reused\": %zu, \"warm_start_used\": %s}",
-      r.name.c_str(), r.cold_ms, r.incremental_ms, r.speedup,
+      "\"pairs_rescored\": %zu, \"pairs_reused\": %zu}",
+      r.name.c_str(), r.cold_ms, r.memo_ms, r.speedup,
       r.bit_identical ? "true" : "false", r.stats.tables_reprofiled,
-      r.stats.tables_delta_merged, r.stats.pairs_rescored,
-      r.stats.pairs_reused, r.stats.warm_start_used ? "true" : "false");
+      r.stats.pairs_rescored, r.stats.pairs_reused);
 }
 
 }  // namespace
@@ -244,12 +244,11 @@ int main(int argc, char** argv) {
   LocalModel model = bench::GetTrainedModel();
   AutoBiOptions options;
   options.threads = threads;
-  AutoBi predictor(&model, options);
   std::vector<Table> base = MakeBaseTables(num_tables);
 
   std::vector<KindResult> results;
   for (const MutationKind& kind : kKinds) {
-    results.push_back(RunKind(kind, predictor, base, reps));
+    results.push_back(RunKind(kind, model, options, base, reps));
   }
 
   if (json) {
@@ -263,16 +262,15 @@ int main(int argc, char** argv) {
     out += "  }\n}\n";
     std::fputs(out.c_str(), stdout);
   } else {
-    std::printf("Incremental re-prediction, %d tables (best of %d):\n",
-                num_tables, reps);
-    std::printf("  %-14s %10s %14s %9s %s\n", "mutation", "cold", "incremental",
-                "speedup", "work (reprof/merge/rescore/reuse/warm)");
+    std::printf("Memo re-prediction, %d tables (best of %d):\n", num_tables,
+                reps);
+    std::printf("  %-14s %10s %10s %9s %s\n", "mutation", "cold", "memo",
+                "speedup", "work (reprofiled/rescored/reused)");
     for (const KindResult& r : results) {
-      std::printf("  %-14s %8.1fms %12.1fms %8.1fx %zu/%zu/%zu/%zu/%s\n",
-                  r.name.c_str(), r.cold_ms, r.incremental_ms, r.speedup,
-                  r.stats.tables_reprofiled, r.stats.tables_delta_merged,
-                  r.stats.pairs_rescored, r.stats.pairs_reused,
-                  r.stats.warm_start_used ? "warm" : "cold-solve");
+      std::printf("  %-14s %8.1fms %8.1fms %8.1fx %zu/%zu/%zu\n",
+                  r.name.c_str(), r.cold_ms, r.memo_ms, r.speedup,
+                  r.stats.tables_reprofiled, r.stats.pairs_rescored,
+                  r.stats.pairs_reused);
     }
   }
   return 0;

@@ -12,6 +12,13 @@
 // must stay below exponent 1.5 (all-pairs scanning is exactly 2.0 in table
 // count at fixed island size).
 //
+// The largest lake also gets the one-table-change row: a PredictCache is
+// warmed with a predict of the lake, one table's cells are replaced, and
+// the lake is predicted again on the warm cache — only the replaced table
+// is re-profiled and only its table pairs re-scanned. The row FATALs unless
+// that result is bit-identical to an uncached predict of the changed lake,
+// and prints both times.
+//
 // Usage: bench_lake [--json] [--max_tables N] [--threads N]
 //   --json        one machine-readable JSON object (consumed by
 //                 scripts/bench_smoke.sh -> BENCH_pr9.json).
@@ -31,6 +38,7 @@
 #include "common/timer.h"
 #include "core/auto_bi.h"
 #include "core/model_export.h"
+#include "core/predict_cache.h"
 #include "synth/lake.h"
 
 namespace autobi {
@@ -123,6 +131,92 @@ SizeResult RunSize(const LocalModel& model, int num_tables, int threads) {
   return out;
 }
 
+// The one-table-change row on the largest lake.
+struct ReplaceResult {
+  int tables = 0;
+  double cold_ms = 0.0;  // Uncached predict of the changed lake.
+  double warm_ms = 0.0;  // The same predict on a cache warmed by the lake.
+  bool bit_identical = false;
+  size_t tables_reprofiled = 0;
+  size_t pairs_rescored = 0;
+  size_t pairs_reused = 0;
+};
+
+// Changes every third non-null cell of the table's last column, keeping its
+// name, type and length.
+void ReplaceCells(Table* table) {
+  Column& old = table->column(table->num_columns() - 1);
+  Column fresh(old.name(), old.type());
+  for (size_t r = 0; r < old.size(); ++r) {
+    const bool change = r % 3 == 0;
+    if (old.IsNull(r)) {
+      fresh.AppendNull();
+    } else if (old.type() == ValueType::kInt) {
+      fresh.AppendInt(old.Int(r) + (change ? 1 : 0));
+    } else if (old.type() == ValueType::kDouble) {
+      fresh.AppendDouble(old.Double(r) + (change ? 0.5 : 0.0));
+    } else {
+      fresh.AppendString(change ? old.Str(r) + "_x" : old.Str(r));
+    }
+  }
+  old = std::move(fresh);
+}
+
+ReplaceResult RunReplaceOne(const LocalModel& model, int num_tables,
+                            int threads) {
+  Rng rng(0x1a6e0000u + uint64_t(num_tables));
+  LakeGenOptions gen;
+  gen.num_tables = num_tables;
+  std::vector<Table> tables = GenerateLake(gen, rng).tables;
+
+  // Room for every table pair of the lake (the pair shard holds 16x the
+  // table capacity), so warming evicts nothing.
+  PredictCache::Options cache_options;
+  cache_options.max_table_entries =
+      std::max(cache_options.max_table_entries,
+               size_t(num_tables) * size_t(num_tables) / 32 + 1);
+  PredictCache cache(cache_options);
+  AutoBiOptions options;
+  options.threads = threads;
+  AutoBiOptions cached = options;
+  cached.cache = &cache;
+  AutoBi warm_predictor(&model, cached);
+  MustPredict(warm_predictor, tables);
+
+  ReplaceCells(&tables[tables.size() / 2]);
+  ReplaceResult out;
+  out.tables = num_tables;
+  Timer warm_timer;
+  AutoBiResult warm = MustPredict(warm_predictor, tables);
+  out.warm_ms = warm_timer.Seconds() * 1e3;
+  AutoBi cold_predictor(&model, options);
+  Timer cold_timer;
+  AutoBiResult cold = MustPredict(cold_predictor, tables);
+  out.cold_ms = cold_timer.Seconds() * 1e3;
+
+  StatusOr<std::string> json_warm = ExportJson(tables, warm.model);
+  StatusOr<std::string> json_cold = ExportJson(tables, cold.model);
+  out.bit_identical = json_warm.ok() && json_cold.ok() &&
+                      *json_warm == *json_cold &&
+                      warm.graph.StructurallyEqual(cold.graph) &&
+                      warm.backbone_edges == cold.backbone_edges &&
+                      warm.recall_edges == cold.recall_edges;
+  if (!out.bit_identical) {
+    Fatal(StrFormat("%d tables: the warm-cache predict after a one-table "
+                    "change diverged from an uncached predict",
+                    num_tables));
+  }
+  out.tables_reprofiled = warm.incremental.tables_reprofiled;
+  out.pairs_rescored = warm.incremental.pairs_rescored;
+  out.pairs_reused = warm.incremental.pairs_reused;
+  if (out.tables_reprofiled != 1 || out.pairs_reused == 0) {
+    Fatal(StrFormat("%d tables: the warm-cache predict reprofiled %zu "
+                    "tables and reused %zu pairs",
+                    num_tables, out.tables_reprofiled, out.pairs_reused));
+  }
+  return out;
+}
+
 // Least-squares slope of log(y) against log(x): the growth exponent of the
 // admitted-pair curve over the sweep.
 double FitExponent(const std::vector<SizeResult>& results) {
@@ -205,6 +299,15 @@ int main(int argc, char** argv) {
 
   double exponent = FitExponent(results);
   const SizeResult& largest = results.back();
+  const ReplaceResult replace = RunReplaceOne(model, largest.tables, threads);
+  if (!json) {
+    std::printf(
+        "%5d tables, one replaced: warm cache %8.1f ms  cold %8.1f ms  "
+        "(reprofiled %zu, pairs rescored %zu, reused %zu)\n",
+        replace.tables, replace.warm_ms, replace.cold_ms,
+        replace.tables_reprofiled, replace.pairs_rescored,
+        replace.pairs_reused);
+  }
   bool all_identical = true;
   for (const SizeResult& r : results) all_identical &= r.bit_identical;
 
@@ -221,6 +324,14 @@ int main(int argc, char** argv) {
                      largest.pruning_rate);
     out += StrFormat("  \"max_size_predict_ms\": %.3f,\n",
                      largest.predict_on_ms);
+    out += StrFormat(
+        "  \"replace_one\": {\"tables\": %d, \"cold_ms\": %.3f, "
+        "\"warm_ms\": %.3f, \"bit_identical\": %s, "
+        "\"tables_reprofiled\": %zu, \"pairs_rescored\": %zu, "
+        "\"pairs_reused\": %zu},\n",
+        replace.tables, replace.cold_ms, replace.warm_ms,
+        replace.bit_identical ? "true" : "false", replace.tables_reprofiled,
+        replace.pairs_rescored, replace.pairs_reused);
     out += StrFormat("  \"all_bit_identical\": %s\n",
                      all_identical ? "true" : "false");
     out += "}\n";

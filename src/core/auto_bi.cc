@@ -12,7 +12,6 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "core/incremental.h"
 #include "core/predict_cache.h"
 #include "graph/ems.h"
 #include "graph/kmca.h"
@@ -65,22 +64,7 @@ uint64_t SolveKeyFingerprint(const AutoBiOptions& o, const RunContext* ctx) {
   h = MixU64(h, (uint64_t(o.enforce_fk_once) << 2) |
                     (uint64_t(o.use_precision_mode) << 1) |
                     uint64_t(o.lc_only));
-  const CandidateGenOptions& c = o.candidates;
-  h = MixU64(h, c.ucc.max_arity);
-  h = MixU64(h, c.ucc.max_candidates);
-  h = MixDouble(h, c.ucc.min_distinct_ratio);
-  h = MixDouble(h, c.ind.min_containment);
-  h = MixU64(h, c.ind.min_distinct);
-  h = MixDouble(h, c.ind.min_referenced_distinct_ratio);
-  h = MixU64(h, c.ind.max_arity);
-  h = MixU64(h, c.ind.max_composite_probes);
-  h = MixU64(h, uint64_t(c.ind.blocking.enabled));
-  h = MixU64(h, c.ind.blocking.bottom_probes);
-  h = MixU64(h, c.ind.blocking.heavy_probes);
-  h = MixU64(h, c.ind.blocking.probe_all_below);
-  h = MixDouble(h, c.one_to_one_distinct_ratio);
-  h = MixDouble(h, c.one_to_one_min_containment);
-  h = MixU64(h, uint64_t(c.metadata_fallback_for_empty_tables));
+  h = MixU64(h, CandidateOptionsFingerprint(o.candidates));
   h = MixU64(h, uint64_t(o.solver.max_one_mca_calls));
   if (ctx != nullptr) {
     h = MixU64(h, ctx->budgets.max_rows_per_table);
@@ -254,44 +238,82 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
 namespace {
 
 // The pipeline proper. May throw (pool-propagated worker exceptions,
-// injected parallel-task faults); the public entry point converts those to
-// kInternal.
+// injected parallel-task faults); the public entry points convert those to
+// kInternal. `table_hashes[i]` is TableContentHash(tables[i]).
 AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
                          const std::vector<Table>& tables,
+                         const std::vector<uint64_t>& table_hashes,
                          const RunContext* ctx) {
   AutoBiResult result;
   result.timing.threads = ResolveThreads(options.threads);
 
-  // Stage 1+2: UCC and IND discovery (candidate generation). The top-level
-  // thread setting flows into candidate generation unless the caller pinned
-  // a stage-specific count.
+  // Stage 1+2: UCC and IND discovery (candidate generation), through the
+  // cache's table and pair memos. The top-level thread setting flows into
+  // candidate generation unless the caller pinned a stage-specific count.
   CandidateGenOptions cand_options = options.candidates;
   if (cand_options.threads == 0) cand_options.threads = options.threads;
   if (cand_options.cache == nullptr) cand_options.cache = options.cache;
-  CandidateSet candidates = GenerateCandidates(tables, cand_options, ctx);
+  const bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
+  CandidateSet candidates = GenerateCandidates(tables, table_hashes,
+                                               cand_options, ctx, schema_only);
   result.timing.ucc = candidates.ucc_seconds;
   result.timing.ind = candidates.ind_seconds;
   result.degradation.ucc = candidates.ucc_health;
   result.degradation.ind = candidates.ind_health;
   result.ind_stats = candidates.ind_stats;
+  result.incremental.used =
+      candidates.profile_cache_hits > 0 || candidates.pairs_reused > 0;
+  result.incremental.tables_reprofiled = candidates.tables_profiled;
+  result.incremental.pairs_rescored = candidates.pairs_scanned;
+  result.incremental.pairs_reused = candidates.pairs_reused;
 
-  // Stage 3: local inference — featurize and score each candidate with the
-  // calibrated classifiers (Algorithm 1).
-  bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
-  result.graph = BuildJoinGraph(tables, candidates, model, schema_only,
-                                &result.timing.local_inference,
-                                options.threads, ctx,
-                                &result.degradation.local_inference);
+  // Stage 3: local inference — featurize and score with the calibrated
+  // classifiers (Algorithm 1) every candidate the pair memo did not answer.
+  Timer local_timer;
+  std::vector<double> probabilities = std::move(candidates.memo_scores);
+  std::vector<size_t> unscored;
+  for (size_t k = 0; k < probabilities.size(); ++k) {
+    if (probabilities[k] == kUnscoredCandidate) unscored.push_back(k);
+  }
+  if (unscored.size() == probabilities.size()) {
+    probabilities = ScoreCandidates(tables, candidates.profiles,
+                                    candidates.candidates, model, schema_only,
+                                    options.threads, ctx);
+  } else if (!unscored.empty()) {
+    std::vector<JoinCandidate> to_score;
+    to_score.reserve(unscored.size());
+    for (size_t k : unscored) to_score.push_back(candidates.candidates[k]);
+    std::vector<double> fresh =
+        ScoreCandidates(tables, candidates.profiles, to_score, model,
+                        schema_only, options.threads, ctx);
+    for (size_t k = 0; k < unscored.size(); ++k) {
+      probabilities[unscored[k]] = fresh[k];
+    }
+  }
+  result.graph =
+      BuildJoinGraphFromScores(tables.size(), candidates.candidates,
+                               probabilities,
+                               &result.degradation.local_inference);
+  result.timing.local_inference = local_timer.Seconds();
 
   // Stage 4: global prediction.
   RunGlobalPredict(options, ctx, &result);
+
+  // Only a healthy run may publish its scanned pairs: a degraded one may
+  // have truncated, skipped or never scanned candidates.
+  if (cand_options.cache != nullptr && !result.degradation.Any()) {
+    PublishPairEntries(candidates, probabilities, cand_options.cache);
+  }
   return result;
 }
 
-}  // namespace
-
-StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
-                                       const RunContext* ctx) const {
+// Predict and PredictIncremental: validation, one content hash per table,
+// the solve memo (consulted only when `consult_solve_memo`), the pipeline.
+StatusOr<AutoBiResult> PredictWithMemos(const LocalModel& model,
+                                        const AutoBiOptions& options,
+                                        const std::vector<Table>& tables,
+                                        const RunContext* ctx,
+                                        bool consult_solve_memo) {
   for (size_t i = 0; i < tables.size(); ++i) {
     if (!tables[i].Validate()) {
       return Status::InvalidInput(
@@ -300,22 +322,34 @@ StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
     }
   }
   try {
+    // Each table is hashed once; the hashes key the profile, pair and
+    // solve memos (and in-run dedup of identical tables). The hashing pass
+    // is charged to the UCC bucket, whose stage it serves.
+    Timer hash_timer;
+    std::vector<uint64_t> table_hashes(tables.size());
+    ParallelFor(
+        tables.size(),
+        [&](size_t i) { table_hashes[i] = TableContentHash(tables[i]); },
+        options.candidates.threads != 0 ? options.candidates.threads
+                                        : options.threads);
+    const double hash_seconds = hash_timer.Seconds();
+
     // Cross-request solve memo: a byte-identical (tables, options, budgets)
     // submission returns the cached healthy result without running the
     // pipeline. Skipped when the context already tripped (the pipeline then
     // owes the caller its degraded partial-model semantics, not a full
     // cached answer).
-    PredictCache* cache = options_.cache;
+    PredictCache* cache = options.cache;
     const bool memo_usable =
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
-    uint64_t solve_key = 0;
-    if (memo_usable) {
-      solve_key =
-          MixU64(TablesContentHash(tables), SolveKeyFingerprint(options_, ctx));
+    const uint64_t solve_key =
+        MixU64(TablesContentHashFromHashes(table_hashes),
+               SolveKeyFingerprint(options, ctx));
+    if (memo_usable && consult_solve_memo) {
       if (std::shared_ptr<const PredictCache::SolveEntry> entry =
               cache->FindSolve(solve_key)) {
         AutoBiResult result;
-        result.timing.threads = ResolveThreads(options_.threads);
+        result.timing.threads = ResolveThreads(options.threads);
         result.model = entry->model;
         result.graph = entry->graph;
         result.backbone_edges = entry->backbone_edges;
@@ -326,7 +360,8 @@ StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
         return result;
       }
     }
-    AutoBiResult result = RunPipeline(*model_, options_, tables, ctx);
+    AutoBiResult result = RunPipeline(model, options, tables, table_hashes, ctx);
+    result.timing.ucc += hash_seconds;
     if (memo_usable && !result.degradation.Any()) {
       auto entry = std::make_shared<PredictCache::SolveEntry>();
       entry->model = result.model;
@@ -347,69 +382,18 @@ StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
   }
 }
 
+}  // namespace
+
+StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
+                                       const RunContext* ctx) const {
+  return PredictWithMemos(*model_, options_, tables, ctx,
+                          /*consult_solve_memo=*/true);
+}
+
 StatusOr<AutoBiResult> AutoBi::PredictIncremental(
-    const std::vector<Table>& tables, const RunContext* ctx,
-    IncrementalState* state) const {
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (!tables[i].Validate()) {
-      return Status::InvalidInput(
-          StrFormat("table %zu ('%s') is malformed (ragged columns)", i,
-                    tables[i].name().c_str()));
-    }
-  }
-  // Fallback screen: conditions under which the incremental engine cannot
-  // reproduce the plain pipeline bit-identically. A context that already
-  // tripped owes degraded partial-model semantics from the very first stage;
-  // a table over the value-probe budget keeps a metadata-only profile in the
-  // cold path, which no cached profile may stand in for. Both invalidate the
-  // state (the run about to happen produces nothing reusable).
-  bool fallback = ctx != nullptr && ctx->StopRequested();
-  if (!fallback && ctx != nullptr) {
-    for (const Table& t : tables) {
-      if (OverTableBudget(t, ctx->budgets)) {
-        fallback = true;
-        break;
-      }
-    }
-  }
-  if (fallback) {
-    state->valid = false;
-    return Predict(tables, ctx);
-  }
-  try {
-    AutoBiResult result =
-        RunIncrementalPipeline(*model_, options_, tables, ctx, state);
-    // Populate — but never consult — the cross-request solve memo. A memo
-    // hit here would silently replace the delta path (zeroing the
-    // observability counters callers rely on), while populating keeps plain
-    // Predict calls over the same bytes instant. The key reuses the
-    // snapshot hashes the engine just committed, so no extra pass over the
-    // cell bytes is needed.
-    if (options_.cache != nullptr && !result.degradation.Any()) {
-      std::vector<uint64_t> table_hashes;
-      table_hashes.reserve(state->snapshots.size());
-      for (const TableSnapshot& snap : state->snapshots) {
-        table_hashes.push_back(snap.table_hash);
-      }
-      uint64_t solve_key = MixU64(TablesContentHashFromHashes(table_hashes),
-                                  SolveKeyFingerprint(options_, ctx));
-      auto entry = std::make_shared<PredictCache::SolveEntry>();
-      entry->model = result.model;
-      entry->graph = result.graph;
-      entry->backbone_edges = result.backbone_edges;
-      entry->recall_edges = result.recall_edges;
-      entry->solver_stats = result.solver_stats;
-      entry->ind_stats = result.ind_stats;
-      entry->partition = result.partition;
-      options_.cache->InsertSolve(solve_key, std::move(entry));
-    }
-    return result;
-  } catch (const std::exception& e) {
-    // The engine mutates the state only at its final healthy commit, so the
-    // state still describes the previous healthy run — no invalidation.
-    return Status::Internal(
-        StrFormat("prediction pipeline failed: %s", e.what()));
-  }
+    const std::vector<Table>& tables, const RunContext* ctx) const {
+  return PredictWithMemos(*model_, options_, tables, ctx,
+                          /*consult_solve_memo=*/false);
 }
 
 AutoBiResult AutoBi::Predict(const std::vector<Table>& tables) const {

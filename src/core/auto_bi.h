@@ -39,13 +39,15 @@ struct AutoBiOptions {
   CandidateGenOptions candidates;
   KmcaCcOptions solver;  // penalty_weight/enforce_fk_once are overwritten.
   // Optional cross-request cache (core/predict_cache.h; not owned, must
-  // outlive the predictor). Flows into candidates.cache for the profiling
-  // layer, and additionally memoizes whole healthy solves keyed by the
-  // content hash of the table set plus an options/budget fingerprint: a
-  // byte-identical re-submission returns the cached result without running
-  // the pipeline. Hits are bit-identical to recomputation (models, graph,
-  // solver stats); only timing differs. Runs tripped by a deadline/cancel
-  // never populate the memo.
+  // outlive the predictor). Flows into candidates.cache, where unchanged
+  // tables reuse their profiles and unchanged table pairs their candidates
+  // and calibrated scores, and additionally memoizes whole healthy solves
+  // keyed by the content hash of the table set plus an options/budget
+  // fingerprint: a byte-identical re-submission returns the cached result
+  // without running the pipeline. Hits are bit-identical to recomputation
+  // (models, graph, solver stats); only timing and work counters differ.
+  // Degraded runs (deadline/cancel trips, budgets, faults) populate
+  // neither the pair nor the solve memo.
   PredictCache* cache = nullptr;
 };
 
@@ -78,24 +80,19 @@ struct AutoBiDegradation {
   }
 };
 
-// Observability counters of an incremental run (core/incremental.h): how
-// much work the delta path actually did versus reused. A cold run (or a
-// plain Predict) leaves `used` false and everything zero.
+// Reuse counters of a pipeline run: how much work went through the stage
+// memos of AutoBiOptions::cache versus ran. A solve-memo hit runs no
+// pipeline and leaves everything zero. The serve protocol reports these
+// under "incremental".
 struct IncrementalStats {
-  // True when the delta engine ran (false: cold rebuild or plain Predict).
+  // True when any table or pair came from the memos.
   bool used = false;
-  // Tables whose profile + UCCs were recomputed from scratch this run.
+  // Tables whose profile + UCCs were computed from scratch this run.
   size_t tables_reprofiled = 0;
-  // Tables whose cached profile was merged forward over an appended suffix
-  // (MergeAppendedTableProfile) instead of rescanned.
-  size_t tables_delta_merged = 0;
-  // Unordered table pairs whose IND scan + candidate scoring re-ran.
+  // Unordered table pairs whose IND scan + candidate scoring ran.
   size_t pairs_rescored = 0;
   // Unordered table pairs whose cached candidates + scores were reused.
   size_t pairs_reused = 0;
-  // True when the global solve was reused wholesale because the join graph
-  // was structurally identical to the previous run's.
-  bool warm_start_used = false;
 };
 
 struct AutoBiResult {
@@ -112,7 +109,7 @@ struct AutoBiResult {
   std::vector<int> recall_edges;
   // What (if anything) was degraded by the run's deadline/cancel/budgets.
   AutoBiDegradation degradation;
-  // Delta-path observability (all-zero unless PredictIncremental ran).
+  // Memo reuse counters (see IncrementalStats).
   IncrementalStats incremental;
   // Candidate-generation counters, including the blocking stage's pruning
   // numbers (profile/ind.h). Surfaced by the serve stats/predict verbs and
@@ -121,13 +118,6 @@ struct AutoBiResult {
   // Partitioned-solve telemetry (PartitionStats, core/graph_builder.h).
   PartitionStats partition;
 };
-
-// Cross-call state of the incremental engine (core/incremental.h): cached
-// snapshots, profiles, per-pair candidates/scores, graph and solve of the
-// previous healthy run. Opaque here so auto_bi.h stays free of the engine's
-// internals; default-constructible and movable, owned by the caller (one per
-// logical table-set, e.g. per serve session).
-struct IncrementalState;
 
 // The online Auto-BI predictor (Section 4.3): candidate generation ->
 // calibrated local scoring -> k-MCA-CC precision mode -> EMS recall mode.
@@ -151,26 +141,16 @@ class AutoBi {
   // corpora): no context, CHECK-fails on Status errors.
   AutoBiResult Predict(const std::vector<Table>& tables) const;
 
-  // Delta-aware Predict: diffs `tables` against the previous run cached in
-  // `*state` (which must outlive the call and be reused across calls over
-  // the same evolving table-set) and recomputes only the work touching
-  // changed tables — appended tables merge their profiles forward, unchanged
-  // pairs reuse their candidates and scores, and a structurally identical
-  // join graph reuses the previous global solve wholesale.
-  //
-  // Contract: the returned result is bit-identical to what Predict would
-  // return on the same post-change tables — models, graph, edge sets, solver
-  // stats, partition telemetry, degradation markers — with only timing,
-  // result.incremental, and result.ind_stats (which counts the scans this
-  // run actually performed, not what a cold run would redo) differing. First call (or invalidated/mismatched state) runs a cold
-  // rebuild through the same engine; runs the engine cannot serve
-  // bit-identically (context stopped at entry, tables over the value-probe
-  // budget) invalidate the state and fall back to the plain pipeline.
-  // Degraded runs never update the state. `state` must not be shared across
-  // concurrent calls.
+  // Predict that never answers from the whole-solve memo: the pipeline
+  // always runs, reusing what options.cache's table and pair memos hold, so
+  // after a change to a few tables only the work touching them is redone.
+  // result.incremental reports how much was reused. The result is
+  // bit-identical to Predict's on the same tables (only timing, the reuse
+  // counters and ind_stats — the scans this run actually performed —
+  // differ), and a healthy result still populates the solve memo. This is
+  // the `"incremental": true` form of the serve protocol.
   StatusOr<AutoBiResult> PredictIncremental(const std::vector<Table>& tables,
-                                            const RunContext* ctx,
-                                            IncrementalState* state) const;
+                                            const RunContext* ctx) const;
 
   const AutoBiOptions& options() const { return options_; }
 
@@ -183,8 +163,8 @@ class AutoBi {
 // a single normalized join).
 BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges);
 
-// Stage 4 of the pipeline (global prediction), factored out so the
-// incremental engine runs the exact same code: consumes result->graph and
+// Stage 4 of the pipeline (global prediction), exposed so callers can run
+// and time it on its own graph: consumes result->graph and
 // fills model/backbone_edges/recall_edges/solver_stats/kmca_cc_seconds,
 // timing.global_predict, and degradation.global_predict. Deterministic
 // function of (graph, options, ctx stop/budget state).
@@ -196,8 +176,8 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
 // `threads` excluded — results are bit-identical at any thread count) and
 // the RunContext's deterministic budgets. Deadlines/cancellation are *not*
 // part of the key: they are time-dependent, so runs they trip never populate
-// the solve memo (checked via result.degradation). Shared by the PredictCache
-// solve memo and the incremental engine's options-change detection.
+// the solve memo (checked via result.degradation). The PredictCache solve
+// memo key.
 uint64_t SolveKeyFingerprint(const AutoBiOptions& options,
                              const RunContext* ctx);
 

@@ -34,13 +34,29 @@ struct CandidateGenOptions {
   // 1 = serial. Also the default for ind.threads when that is 0. The
   // candidate set produced is identical at any thread count.
   int threads = 0;
-  // Optional cross-request profile cache (core/predict_cache.h), shared by
-  // the serving layer across sessions. When set, tables whose content hash
+  // Optional cross-request cache (core/predict_cache.h), shared by the
+  // serving layer across sessions. When set, tables whose content hash
   // (⊕ the UccOptions fingerprint) matches a cached entry reuse its
-  // profile + UCCs instead of re-scanning; fresh entries are inserted after
-  // profiling. A hit is byte-identical to recomputation, so results are
-  // unchanged with or without the cache. Not owned; must outlive the call.
+  // profile + UCCs instead of re-scanning (fresh entries are inserted after
+  // profiling), and table pairs found in its pair memo reuse their
+  // candidates instead of being scanned. A hit is byte-identical to
+  // recomputation, so the candidates are unchanged with or without the
+  // cache. Not owned; must outlive the call.
   PredictCache* cache = nullptr;
+};
+
+// Pair-memo score of a candidate the caller still has to score (a real
+// calibrated score lies in [0, 1]).
+inline constexpr double kUnscoredCandidate = -2.0;
+
+// An unordered table pair {i < j} that missed the pair memo and was
+// scanned, with its memo key. `i_first` records the canonical orientation:
+// true when table i has the lower (or equal) content hash.
+struct MemoPair {
+  int i = 0;
+  int j = 0;
+  bool i_first = true;
+  uint64_t key = 0;
 };
 
 // Output of the candidate-generation stage (UCC + IND discovery, the first
@@ -61,10 +77,22 @@ struct CandidateSet {
   StageHealth ucc_health;
   StageHealth ind_health;
   // Profiling-stage cache observability: tables whose profile + UCCs came
-  // from the cross-request PredictCache, and tables deduplicated against an
-  // identical table earlier in the same case (content-hash equality).
+  // from the cross-request PredictCache, tables deduplicated against an
+  // identical table earlier in the same case (content-hash equality), and
+  // tables profiled from scratch this run.
   size_t profile_cache_hits = 0;
   size_t profile_dedup_hits = 0;
+  size_t tables_profiled = 0;
+  // Pair memo (options.cache set, run not stopped at the IND stage):
+  // memo_scores[k] is candidates[k]'s cached calibrated score, or
+  // kUnscoredCandidate when the caller must score it (every candidate, when
+  // the memo was not consulted). memo_misses are the scanned pairs,
+  // ascending — what PublishPairEntries stores.
+  std::vector<double> memo_scores;
+  std::vector<MemoPair> memo_misses;
+  // Unordered table pairs reused from the pair memo vs scanned this run.
+  size_t pairs_reused = 0;
+  size_t pairs_scanned = 0;
 };
 
 // Profiles the tables, discovers UCCs and approximate INDs, and converts
@@ -80,13 +108,42 @@ struct CandidateSet {
 // per-table / per-pair work. Whatever degrades is recorded in
 // ucc_health/ind_health; a null or untripped context yields byte-identical
 // output to a context-free run.
+//
+// This form hashes every table and runs the one below with full-feature
+// scoring (schema_only = false).
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options = {},
                                 const RunContext* ctx = nullptr);
 
-// --- Pair-local building blocks of candidate conversion, exposed so the
-// incremental engine (core/incremental.h) can regenerate just the candidates
-// of changed table pairs and splice them into cached ones. Each helper is a
+// The form the prediction pipeline calls (core/auto_bi.cc).
+// `table_hashes[i]` is TableContentHash(tables[i]), computed once per
+// predict and shared by the profile, pair and solve keys. With
+// options.cache set (and ctx not already stopped — a stopped run consults
+// no memo), every unordered table pair is first looked up in the
+// cache's pair memo, serially in index order, under a key of the two
+// tables' hashes (sorted), their admission under ctx's budgets, the
+// candidate options and `schema_only` (which local-model variant the cached
+// scores come from). Hit pairs contribute their cached candidates and
+// scores (memo_scores); only missed pairs are scanned — exactly as an
+// uncached run scans them when every pair missed, else through the global
+// blocking plan when they number at least the table count and pair-locally
+// otherwise (DiscoverIndsForPairs). The candidate list equals an uncached
+// run's. The caller scores the unscored candidates and, if the run stays
+// healthy, publishes the scanned pairs with PublishPairEntries.
+CandidateSet GenerateCandidates(const std::vector<Table>& tables,
+                                const std::vector<uint64_t>& table_hashes,
+                                const CandidateGenOptions& options,
+                                const RunContext* ctx, bool schema_only);
+
+// Stores the scanned pairs of `set` (set.memo_misses) in `cache`'s pair
+// memo, each with its candidates and their final calibrated scores
+// (`probabilities`, aligned with set.candidates). Call only after a healthy
+// run: a degraded one may have truncated or skipped candidates.
+void PublishPairEntries(const CandidateSet& set,
+                        const std::vector<double>& probabilities,
+                        PredictCache* cache);
+
+// --- Pair-local building blocks of candidate conversion. Each helper is a
 // pure pair-local function: (src, dst) keys determine the table pair even
 // after 1:1 canonical reorientation, so merging per-pair maps reproduces the
 // full-run dedup map exactly.
@@ -118,6 +175,12 @@ void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
 // Everything profiling depends on besides the table bytes, folded into the
 // profile-cache key so an options change can never serve a stale entry.
 uint64_t UccOptionsFingerprint(const UccOptions& ucc);
+
+// Everything candidate generation depends on besides the table bytes and
+// the run's budgets (UccOptionsFingerprint included; thread counts and the
+// cache excluded — they never change the output). Part of the pair-memo and
+// solve-memo keys.
+uint64_t CandidateOptionsFingerprint(const CandidateGenOptions& options);
 
 // True when a RunContext row/cell budget excludes `table` from value probing
 // (the admission predicate of GenerateCandidates).

@@ -35,10 +35,10 @@ JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
                          const RunContext* run_ctx = nullptr,
                          StageHealth* health = nullptr);
 
-// --- The two halves of BuildJoinGraph, exposed so the incremental engine
-// (core/incremental.h) can score only the candidates of changed table pairs
-// (reusing cached probabilities elsewhere) and still assemble the exact
-// graph a cold run would build.
+// --- The two halves of BuildJoinGraph, exposed so the pipeline can score
+// only the candidates its pair memo did not answer (reusing cached
+// probabilities elsewhere) and still assemble the exact graph an uncached
+// run would build.
 
 // Sentinel probability marking a candidate whose scoring was skipped after a
 // RunContext deadline/cancel trip (real scores are in [0, 1]).

@@ -1,64 +1,160 @@
 #include "core/predict_cache.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "common/check.h"
 
 namespace autobi {
 
 template <typename T>
-std::shared_ptr<const T> PredictCache::Find(const Shard<T>& shard,
-                                            uint64_t key) const {
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    ++const_cast<Shard<T>&>(shard).misses;
-    return nullptr;
+size_t PredictCache::Shard<T>::Probe(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = key & mask;
+  while (slots_[i].entry != nullptr && slots_[i].key != key) {
+    i = (i + 1) & mask;
   }
-  ++const_cast<Shard<T>&>(shard).hits;
-  return it->second;
+  return i;
 }
 
 template <typename T>
-void PredictCache::Insert(Shard<T>& shard, size_t capacity, uint64_t key,
-                          std::shared_ptr<const T> entry) {
-  auto [it, inserted] = shard.map.emplace(key, std::move(entry));
-  if (!inserted) return;  // First writer wins; entries are deterministic.
-  shard.insertion_order.push_back(key);
-  // FIFO eviction keeps the shard bounded. The queue can hold keys already
-  // evicted-and-reinserted; erase lazily until the map is under capacity.
-  size_t scan = 0;
-  while (capacity > 0 && shard.map.size() > capacity &&
-         scan < shard.insertion_order.size()) {
-    uint64_t victim = shard.insertion_order[scan++];
-    if (victim != key && shard.map.erase(victim) > 0) ++evictions_;
+std::shared_ptr<const T> PredictCache::Shard<T>::Find(uint64_t key) const {
+  if (!slots_.empty()) {
+    const Slot& slot = slots_[Probe(key)];
+    if (slot.entry != nullptr) {
+      ++hits;
+      return slot.entry;
+    }
   }
-  if (scan > 0) {
-    shard.insertion_order.erase(shard.insertion_order.begin(),
-                                shard.insertion_order.begin() + long(scan));
-    shard.insertion_order.push_back(key);
+  ++misses;
+  return nullptr;
+}
+
+template <typename T>
+size_t PredictCache::Shard<T>::Insert(uint64_t key,
+                                      std::shared_ptr<const T> entry,
+                                      size_t capacity) {
+  // invariant: a null entry marks a free slot, so it cannot be stored.
+  AUTOBI_CHECK(entry != nullptr);
+  if (!slots_.empty() && slots_[Probe(key)].entry != nullptr) return 0;
+  size_t evicted = 0;
+  while (capacity > 0 && size_ >= capacity) {
+    Erase(Probe(order_.front()));
+    order_.pop_front();
+    ++evicted;
   }
+  if ((size_ + 1) * 2 > slots_.size()) Grow();
+  Slot& slot = slots_[Probe(key)];
+  slot.key = key;
+  slot.entry = std::move(entry);
+  ++size_;
+  order_.push_back(key);
+  return evicted;
+}
+
+template <typename T>
+void PredictCache::Shard<T>::Erase(size_t hole) {
+  // Backward-shift deletion: pull every later entry of the probe run whose
+  // home slot is not cyclically within (hole, j] into the hole, so no probe
+  // run is ever broken and no tombstones are needed.
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].entry != nullptr;
+       j = (j + 1) & mask) {
+    const size_t home = slots_[j].key & mask;
+    const bool movable =
+        hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
+    if (movable) {
+      slots_[hole] = std::move(slots_[j]);
+      hole = j;
+    }
+  }
+  slots_[hole].entry.reset();
+  --size_;
+}
+
+template <typename T>
+void PredictCache::Shard<T>::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+  for (Slot& slot : old) {
+    if (slot.entry != nullptr) slots_[Probe(slot.key)] = std::move(slot);
+  }
+}
+
+template <typename T>
+void PredictCache::Shard<T>::Prefetch(uint64_t key) const {
+  if (!slots_.empty()) {
+    __builtin_prefetch(&slots_[key & (slots_.size() - 1)]);
+  }
+}
+
+template <typename T>
+void PredictCache::Shard<T>::PrefetchOldest(size_t ahead) const {
+  if (ahead < order_.size()) Prefetch(order_[ahead]);
+}
+
+template <typename T>
+void PredictCache::Shard<T>::Clear() {
+  slots_.clear();
+  order_.clear();
+  size_ = 0;
 }
 
 std::shared_ptr<const PredictCache::TableEntry> PredictCache::FindTable(
     uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Find(tables_, key);
+  return tables_.Find(key);
 }
 
 void PredictCache::InsertTable(uint64_t key,
                                std::shared_ptr<const TableEntry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  Insert(tables_, options_.max_table_entries, key, std::move(entry));
+  evictions_ += tables_.Insert(key, std::move(entry), options_.max_table_entries);
 }
 
 std::shared_ptr<const PredictCache::SolveEntry> PredictCache::FindSolve(
     uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Find(solves_, key);
+  return solves_.Find(key);
 }
 
 void PredictCache::InsertSolve(uint64_t key,
                                std::shared_ptr<const SolveEntry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  Insert(solves_, options_.max_solve_entries, key, std::move(entry));
+  evictions_ += solves_.Insert(key, std::move(entry), options_.max_solve_entries);
+}
+
+// The batched pair calls prefetch this many keys ahead, which overlaps the
+// cache misses of independent probes.
+constexpr size_t kPrefetchAhead = 8;
+
+std::vector<std::shared_ptr<const PredictCache::PairEntry>>
+PredictCache::FindPairs(const std::vector<uint64_t>& keys) const {
+  std::vector<std::shared_ptr<const PairEntry>> out;
+  out.reserve(keys.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k + kPrefetchAhead < keys.size()) {
+      pairs_.Prefetch(keys[k + kPrefetchAhead]);
+    }
+    out.push_back(pairs_.Find(keys[k]));
+  }
+  return out;
+}
+
+void PredictCache::InsertPairs(
+    std::vector<std::pair<uint64_t, std::shared_ptr<const PairEntry>>>
+        entries) {
+  const size_t capacity = 16 * options_.max_table_entries;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t k = 0; k < entries.size(); ++k) {
+    if (k + kPrefetchAhead < entries.size()) {
+      pairs_.Prefetch(entries[k + kPrefetchAhead].first);
+      pairs_.PrefetchOldest(kPrefetchAhead);
+    }
+    evictions_ +=
+        pairs_.Insert(entries[k].first, std::move(entries[k].second), capacity);
+  }
 }
 
 PredictCache::Stats PredictCache::GetStats() const {
@@ -68,18 +164,20 @@ PredictCache::Stats PredictCache::GetStats() const {
   s.table_misses = tables_.misses;
   s.solve_hits = solves_.hits;
   s.solve_misses = solves_.misses;
-  s.table_entries = tables_.map.size();
-  s.solve_entries = solves_.map.size();
+  s.pair_hits = pairs_.hits;
+  s.pair_misses = pairs_.misses;
+  s.table_entries = tables_.size();
+  s.solve_entries = solves_.size();
+  s.pair_entries = pairs_.size();
   s.evictions = evictions_;
   return s;
 }
 
 void PredictCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  tables_.map.clear();
-  tables_.insertion_order.clear();
-  solves_.map.clear();
-  solves_.insertion_order.clear();
+  tables_.Clear();
+  solves_.Clear();
+  pairs_.Clear();
 }
 
 }  // namespace autobi

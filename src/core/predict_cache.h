@@ -3,9 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/bi_model.h"
@@ -21,10 +22,18 @@ namespace autobi {
 // Cross-request caches for the prediction pipeline, keyed by content hash
 // (profile/sketch.h). A PredictCache outlives individual Predict calls: the
 // serving layer (src/serve/) shares one instance across sessions and
-// requests, so re-uploading a mostly-unchanged schema skips re-profiling
-// unchanged tables — the UCC/profiling stage is the dominant latency
-// component (Figure 5(b)) — and an entirely unchanged case skips the whole
-// pipeline via the solve memo.
+// requests. It holds three memos, one per reusable stage output:
+//   - table entries: a table's profile + UCCs, so an unchanged table skips
+//     profiling — the UCC/profiling stage is the dominant latency component
+//     (Figure 5(b));
+//   - pair entries: an unordered table pair's deduplicated join candidates
+//     and their calibrated scores, so an unchanged pair skips IND discovery
+//     and local inference — after a one-table change only the pairs that
+//     touch the changed table are re-scanned;
+//   - solve entries: a whole healthy result, so an entirely unchanged case
+//     skips the pipeline.
+// Every key is a content hash, so reuse works across sessions and across
+// concurrent requests; there is no per-session state.
 //
 // Correctness contract (see SERVING.md, "Cache keying & invalidation"):
 //   - Keys are pure functions of the input bytes plus the relevant option
@@ -39,6 +48,11 @@ namespace autobi {
 //     Deterministic budgets are part of the key instead.
 //   - Capacity-bounded: eviction is FIFO by insertion order (cheap, and
 //     admission order is deterministic enough for an LRU-shaped workload).
+//     The pair shard holds 16 x max_table_entries entries: one 256-table
+//     session has 32,640 table pairs, so the default bounds two of them.
+//   - The scores in pair entries and the solve entries come from the
+//     LocalModel of the predictor that produced them: share one cache only
+//     between predictors over the same model.
 //
 // Thread safety: all methods may be called concurrently.
 class PredictCache {
@@ -64,13 +78,26 @@ class PredictCache {
     PartitionStats partition;
   };
 
+  // Candidate generation + scoring output of one unordered table pair
+  // (core/candidates.h). Table ids are canonical — 0 is the table with the
+  // lower content hash, 1 the other — and each 1:1 candidate keeps the
+  // orientation it was scored in; lookups relabel them into the case's
+  // index order (and rescore 1:1 candidates whose orientation flips).
+  struct PairEntry {
+    std::vector<JoinCandidate> candidates;
+    std::vector<double> probabilities;
+  };
+
   struct Stats {
     size_t table_hits = 0;
     size_t table_misses = 0;
     size_t solve_hits = 0;
     size_t solve_misses = 0;
+    size_t pair_hits = 0;
+    size_t pair_misses = 0;
     size_t table_entries = 0;
     size_t solve_entries = 0;
+    size_t pair_entries = 0;
     size_t evictions = 0;
   };
 
@@ -89,6 +116,16 @@ class PredictCache {
   std::shared_ptr<const TableEntry> FindTable(uint64_t key) const;
   void InsertTable(uint64_t key, std::shared_ptr<const TableEntry> entry);
 
+  // --- Pair memo. `key` = both tables' TableContentHash (sorted) ⊕ the
+  // candidate/scoring fingerprint ⊕ their admission under the run's budgets
+  // (see candidates.cc). Batched: one lock per call; lookups count one hit
+  // or miss per key, in key order.
+  std::vector<std::shared_ptr<const PairEntry>> FindPairs(
+      const std::vector<uint64_t>& keys) const;
+  void InsertPairs(
+      std::vector<std::pair<uint64_t, std::shared_ptr<const PairEntry>>>
+          entries);
+
   // --- Solve memo. `key` = TablesContentHash ⊕ AutoBiOptions/budget
   // fingerprint (see auto_bi.cc).
   std::shared_ptr<const SolveEntry> FindSolve(uint64_t key) const;
@@ -98,24 +135,51 @@ class PredictCache {
   void Clear();
 
  private:
+  // One memo: an open-addressing (linear probing) map from key to entry
+  // plus the FIFO queue of its keys. Keys are SplitMix64 outputs, so their
+  // low bits index the slots directly; a flat slot array keeps a probe to
+  // about one cache line and lets the batched pair calls prefetch the slots
+  // of the keys ahead — a cold 250-table predict touches 31k pair keys.
   template <typename T>
-  struct Shard {
-    std::unordered_map<uint64_t, std::shared_ptr<const T>> map;
-    std::vector<uint64_t> insertion_order;  // FIFO eviction queue.
-    size_t hits = 0;
-    size_t misses = 0;
-  };
+  class Shard {
+   public:
+    // Counts a hit or a miss.
+    std::shared_ptr<const T> Find(uint64_t key) const;
+    // Inserts unless `key` is present (first writer wins; entries are
+    // deterministic), evicting the oldest entries to stay within
+    // `capacity` (0 = unbounded). Returns the number evicted.
+    size_t Insert(uint64_t key, std::shared_ptr<const T> entry,
+                  size_t capacity);
+    // Prefetches the home slot of `key`, or of the key `ahead` places from
+    // the front of the eviction queue.
+    void Prefetch(uint64_t key) const;
+    void PrefetchOldest(size_t ahead) const;
+    size_t size() const { return size_; }
+    void Clear();
 
-  template <typename T>
-  std::shared_ptr<const T> Find(const Shard<T>& shard, uint64_t key) const;
-  template <typename T>
-  void Insert(Shard<T>& shard, size_t capacity, uint64_t key,
-              std::shared_ptr<const T> entry);
+    mutable size_t hits = 0;
+    mutable size_t misses = 0;
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      std::shared_ptr<const T> entry;  // Null: the slot is free.
+    };
+    // The slot holding `key`, or the free slot that ends its probe run.
+    size_t Probe(uint64_t key) const;
+    void Erase(size_t slot);
+    void Grow();
+
+    std::vector<Slot> slots_;  // Empty or a power of two, at most half full.
+    std::deque<uint64_t> order_;  // Every key once, oldest first.
+    size_t size_ = 0;
+  };
 
   Options options_;
   mutable std::mutex mu_;
   Shard<TableEntry> tables_;
   Shard<SolveEntry> solves_;
+  Shard<PairEntry> pairs_;
   size_t evictions_ = 0;
 };
 

@@ -17,8 +17,8 @@
 #include "common/timer.h"
 #include "core/auto_bi.h"
 #include "core/bi_model.h"
-#include "core/incremental.h"
 #include "core/model_export.h"
+#include "core/predict_cache.h"
 #include "core/trainer.h"
 #include "fuzz/faultpoints.h"
 #include "serve/engine.h"
@@ -439,7 +439,7 @@ void AppendTypedCell(Column& col, Rng& rng) {
 // Applies one random, always-well-formed mutation: tables stay rectangular
 // and typed, so the pipeline contract (not the loader) is what is probed.
 void MutateTables(std::vector<Table>* tables, Rng& rng) {
-  switch (rng.NextBelow(7)) {
+  switch (rng.NextBelow(8)) {
     case 0: {  // Append rows to one table.
       Table& t = (*tables)[rng.NextBelow(tables->size())];
       if (t.num_columns() == 0) break;
@@ -501,17 +501,24 @@ void MutateTables(std::vector<Table>* tables, Rng& rng) {
       old = std::move(fresh);
       break;
     }
-    default:  // No-op step (the pure warm-start path).
+    case 6: {  // Swap two tables: cached pairs come back reoriented.
+      size_t a = rng.NextBelow(tables->size());
+      size_t b = rng.NextBelow(tables->size());
+      std::swap((*tables)[a], (*tables)[b]);
+      break;
+    }
+    default:  // No-op step (every table and pair reused).
       break;
   }
 }
 
-// Replays a random mutation sequence through PredictIncremental with a
-// persistent IncrementalState, cross-checking every step against a cold
-// Predict on the same tables. With no faults armed the two must agree
-// bit-for-bit (JSON export + degradation flags); with faults armed the
-// fault-point fire sequences diverge between the two runs, so only the
-// universal invariant is checked.
+// Replays a random mutation sequence through Predict with one PredictCache
+// shared across the steps — so each step reuses the tables and table pairs
+// the earlier steps left in its memos — and cross-checks every step against
+// an uncached Predict on the same tables. With no faults armed the two must
+// agree bit-for-bit (JSON export, join graph, edge sets, degradation
+// flags); with faults armed the fault-point fire sequences diverge between
+// the two runs, so only the universal invariant is checked.
 void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
   ++s.report->schema_evolution_cases;
   BiGenOptions gen;
@@ -527,13 +534,14 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
   AutoBiOptions opt;
   opt.threads = 1 + int(rng.NextBelow(2));
   if (rng.NextBool(0.2)) opt.mode = AutoBiMode::kSchemaOnly;
-  AutoBi autobi(&SharedTinyModel(), opt);
-  IncrementalState state;
+  AutoBi uncached(&SharedTinyModel(), opt);
+  PredictCache cache;
+  opt.cache = &cache;
+  AutoBi memo(&SharedTinyModel(), opt);
 
-  StatusOr<AutoBiResult> seeded =
-      autobi.PredictIncremental(tables, nullptr, &state);
+  StatusOr<AutoBiResult> seeded = memo.Predict(tables, nullptr);
   if (!seeded.ok()) {
-    s.Fail(StrFormat("seed PredictIncremental failed: %s",
+    s.Fail(StrFormat("seed Predict failed: %s",
                      seeded.status().ToString().c_str()));
     return;
   }
@@ -544,7 +552,7 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
 
     // Run control: usually none; sometimes deterministic budgets or an
     // up-front cancellation. Wall-clock deadlines are excluded — they are
-    // time-dependent, so incremental and cold runs could legitimately
+    // time-dependent, so cached and uncached runs could legitimately
     // degrade at different points.
     RunContext ctx;
     const RunContext* ctx_ptr = nullptr;
@@ -564,34 +572,37 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
                     (unsigned long long)rng.Next());
       FaultPoints::Global().Configure(spec);
     }
-    StatusOr<AutoBiResult> incr =
-        autobi.PredictIncremental(tables, ctx_ptr, &state);
+    // Half the steps take the serve protocol's "incremental" form, which
+    // skips the solve memo and so always runs the pipeline on the memos.
+    StatusOr<AutoBiResult> reused = rng.NextBool(0.5)
+                                        ? memo.PredictIncremental(tables, ctx_ptr)
+                                        : memo.Predict(tables, ctx_ptr);
     if (faults_armed) {
       s.report->injected_faults += FaultPoints::Global().fires();
       FaultPoints::Global().Disable();
     }
-    if (!incr.ok()) {
-      if (incr.status().code() != StatusCode::kInternal) {
-        s.Fail(StrFormat("unexpected error from PredictIncremental: %s",
-                         incr.status().ToString().c_str()));
+    if (!reused.ok()) {
+      if (reused.status().code() != StatusCode::kInternal) {
+        s.Fail(StrFormat("unexpected error from cached Predict: %s",
+                         reused.status().ToString().c_str()));
       } else if (!faults_armed) {
         s.Fail(StrFormat("kInternal without armed faults: %s",
-                         incr.status().ToString().c_str()));
+                         reused.status().ToString().c_str()));
       }
       ++s.report->status_errors;
-      continue;  // State is untouched on error; keep evolving.
+      continue;  // Failed runs publish nothing; keep evolving.
     }
-    Status valid = ValidateBiModel(tables, incr->model);
+    Status valid = ValidateBiModel(tables, reused->model);
     if (!valid.ok()) {
-      s.Fail(StrFormat("incremental model fails validation at step %d: %s",
-                       step, valid.ToString().c_str()));
+      s.Fail(StrFormat("cached model fails validation at step %d: %s", step,
+                       valid.ToString().c_str()));
     }
-    if (incr->degradation.Any()) {
+    if (reused->degradation.Any()) {
       ++s.report->degraded_models;
       for (const StageHealth* h :
-           {&incr->degradation.ucc, &incr->degradation.ind,
-            &incr->degradation.local_inference,
-            &incr->degradation.global_predict}) {
+           {&reused->degradation.ucc, &reused->degradation.ind,
+            &reused->degradation.local_inference,
+            &reused->degradation.global_predict}) {
         if (h->degraded && h->trigger.empty()) {
           s.Fail("degraded stage with empty trigger");
         }
@@ -599,25 +610,31 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
     }
 
     if (faults_armed) continue;
-    // Differential cross-check: incremental vs cold on identical inputs.
-    StatusOr<AutoBiResult> cold = autobi.Predict(tables, ctx_ptr);
+    // Differential cross-check: shared cache vs none, identical inputs.
+    StatusOr<AutoBiResult> cold = uncached.Predict(tables, ctx_ptr);
     if (!cold.ok()) {
-      s.Fail(StrFormat("cold Predict failed where incremental succeeded: %s",
+      s.Fail(StrFormat("uncached Predict failed where cached succeeded: %s",
                        cold.status().ToString().c_str()));
       continue;
     }
-    if (incr->degradation.Any() != cold->degradation.Any()) {
-      s.Fail(StrFormat("degradation mismatch at step %d "
-                       "(incremental=%d cold=%d)",
-                       step, int(incr->degradation.Any()),
+    if (reused->degradation.Any() != cold->degradation.Any()) {
+      s.Fail(StrFormat("degradation mismatch at step %d (cached=%d "
+                       "uncached=%d)",
+                       step, int(reused->degradation.Any()),
                        int(cold->degradation.Any())));
     }
-    StatusOr<std::string> incr_json = ExportJson(tables, incr->model);
+    StatusOr<std::string> reused_json = ExportJson(tables, reused->model);
     StatusOr<std::string> cold_json = ExportJson(tables, cold->model);
-    if (!incr_json.ok() || !cold_json.ok()) {
+    if (!reused_json.ok() || !cold_json.ok()) {
       s.Fail("ExportJson rejected a validated model");
-    } else if (*incr_json != *cold_json) {
-      s.Fail(StrFormat("incremental/cold model divergence at step %d", step));
+    } else if (*reused_json != *cold_json) {
+      s.Fail(StrFormat("cached/uncached model divergence at step %d", step));
+    }
+    if (!reused->graph.StructurallyEqual(cold->graph) ||
+        reused->backbone_edges != cold->backbone_edges ||
+        reused->recall_edges != cold->recall_edges) {
+      s.Fail(StrFormat("cached/uncached graph or edge divergence at step %d",
+                       step));
     }
   }
 }

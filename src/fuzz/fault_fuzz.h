@@ -23,11 +23,13 @@ namespace autobi {
 //     armed): any input bytes must yield exactly one well-formed JSON
 //     response line with "ok" and, on failure, an error code + message,
 //   - a schema-evolution sequence: 1-8 random mutations (row appends, added
-//     and dropped tables, column/table renames, cell replacements, no-ops)
-//     replayed through AutoBi::PredictIncremental with a persistent
-//     IncrementalState, cross-checked against a cold Predict on the same
-//     post-change tables after every step (bit-identical JSON export and
-//     degradation flags when no faults are armed),
+//     and dropped tables, column/table renames, cell replacements, table
+//     swaps, no-ops)
+//     replayed through AutoBi::Predict / PredictIncremental with one
+//     PredictCache shared across the steps, cross-checked against an
+//     uncached Predict on the same post-change tables after every step
+//     (bit-identical JSON export, join graph, edge sets and degradation
+//     flags when no faults are armed),
 //   - a small synthetic lake (disconnected islands, synth/lake.h) through
 //     Predict with the usual randomized faults/budgets, and — when nothing
 //     time-dependent is armed — a differential run against the exhaustive

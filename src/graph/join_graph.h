@@ -60,11 +60,9 @@ class JoinGraph {
 
   // Exact structural equality: same vertex count and the same edge sequence
   // on every field (endpoints, columns, bit-identical probability/weight,
-  // 1:1 flags, pair and conflict-group ids). Since the downstream global
-  // solve is a deterministic function of the graph (plus options), equal
-  // graphs are the warm-start license of the incremental engine
-  // (core/incremental.h): the previous run's solve output can be reused
-  // wholesale with no bit-identity risk.
+  // 1:1 flags, pair and conflict-group ids). The differential suites use
+  // it to check that a cached or blocked run built exactly the graph of an
+  // uncached or exhaustive one.
   bool StructurallyEqual(const JoinGraph& other) const;
 
  private:

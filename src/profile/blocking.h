@@ -56,11 +56,11 @@ namespace autobi {
 // overlap) cannot be supported by any blocking scheme.
 //
 // Determinism contract: the predicate is a pure pair-local function of the
-// two column profiles. The cold path (BuildBlockingPlan) evaluates it
-// through the global index; the incremental engine's direct ScanTablePair
-// calls recompute it per pair (ComputePairBlocking). Both produce identical
-// admissions by construction, which is what keeps delta re-prediction
-// byte-identical to a cold run with blocking on.
+// two column profiles. BuildBlockingPlan evaluates it through the global
+// index; pair-local ScanTablePair calls (a re-scan of the few table pairs
+// the pair memo missed) recompute it per pair (ComputePairBlocking). Both
+// produce identical admissions by construction, which is what keeps a
+// re-scan byte-identical to a full run with blocking on.
 struct BlockingOptions {
   // Master switch. false = the exhaustive all-pairs oracle.
   bool enabled = true;

@@ -46,8 +46,7 @@ void NumericStats(const Column& col, ColumnProfile* p, size_t max_sample) {
 
 // Single-pass distinct aggregation of `view` into the profile's distinct
 // vectors (hashes/counts/pool/offsets), collision bookkeeping, num_distinct
-// and key_bytes. Shared by full-column profiling and the append-only delta
-// path (MergeAppendedColumnProfile), which runs it over a suffix view.
+// and key_bytes.
 void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
   ColumnProfile& p = *out;
   const size_t non_null = view.num_non_null();
@@ -311,142 +310,6 @@ TableProfile ProfileTable(const Table& table, const TableKeyView& view,
   for (size_t c = 0; c < table.num_columns(); ++c) {
     tp.columns.push_back(
         ProfileColumn(table.column(c), view.column(c), max_sample));
-  }
-  return tp;
-}
-
-ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
-                                         const Column& col,
-                                         size_t max_sample) {
-  // invariant: the caller proved (via the per-column prefix content hash)
-  // that col's first old_profile.row_count rows are byte-identical to what
-  // old_profile summarized — which also pins the declared type.
-  AUTOBI_CHECK(old_profile.row_count <= col.size());
-  AUTOBI_CHECK(old_profile.type == col.type());
-
-  // Aggregate the appended suffix only; everything per-key below is
-  // O(delta). The one full-column pass left is NumericStats at the end.
-  ColumnKeyView delta_view;
-  delta_view.BuildSuffix(col, old_profile.row_count);
-  ColumnProfile delta;
-  AggregateDistinct(delta_view, &delta);
-
-  ColumnProfile m;
-  m.type = col.type();
-  m.row_count = col.size();
-  m.non_null_count = col.num_non_null();
-  m.is_numeric =
-      col.type() == ValueType::kInt || col.type() == ValueType::kDouble;
-  m.key_bytes = old_profile.key_bytes + delta.key_bytes;
-
-  // Sorted merge of the two strictly-increasing distinct-hash vectors. For
-  // a shared hash the old representative wins (its row precedes every delta
-  // row), counts add, and any delta key not already among the old keys of
-  // that hash becomes a collision entry — exactly the bookkeeping a from-
-  // scratch scan would produce, in the same (hash, first-occurrence) order.
-  const std::vector<uint64_t>& oh = old_profile.distinct_hashes;
-  const std::vector<uint64_t>& dh = delta.distinct_hashes;
-  m.distinct_hashes.reserve(oh.size() + dh.size());
-  m.distinct_counts.reserve(oh.size() + dh.size());
-  m.distinct_offsets.reserve(oh.size() + dh.size() + 1);
-  m.distinct_pool.reserve(old_profile.distinct_pool.size() +
-                          delta.distinct_pool.size());
-  size_t i = 0;
-  size_t j = 0;
-  size_t ci = 0;  // Cursor into old_profile.collision_hashes.
-  size_t cj = 0;  // Cursor into delta.collision_hashes.
-  auto emit = [&m](uint64_t hash, int32_t count, std::string_view rep) {
-    m.distinct_hashes.push_back(hash);
-    m.distinct_counts.push_back(count);
-    m.distinct_offsets.push_back(m.distinct_pool.size());
-    m.distinct_pool.append(rep.data(), rep.size());
-  };
-  while (i < oh.size() || j < dh.size()) {
-    bool from_old = j >= dh.size() || (i < oh.size() && oh[i] < dh[j]);
-    bool from_delta = i >= oh.size() || (j < dh.size() && dh[j] < oh[i]);
-    if (from_old) {
-      uint64_t h = oh[i];
-      emit(h, old_profile.distinct_counts[i], old_profile.distinct_key(i));
-      while (ci < old_profile.collision_hashes.size() &&
-             old_profile.collision_hashes[ci] == h) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(old_profile.collision_keys[ci]);
-        ++ci;
-      }
-      ++i;
-    } else if (from_delta) {
-      uint64_t h = dh[j];
-      emit(h, delta.distinct_counts[j], delta.distinct_key(j));
-      while (cj < delta.collision_hashes.size() &&
-             delta.collision_hashes[cj] == h) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(std::move(delta.collision_keys[cj]));
-        ++cj;
-      }
-      ++j;
-    } else {
-      // Shared hash. Old keys of this hash first (representative + old
-      // collisions), then every delta key of the hash not already present.
-      uint64_t h = oh[i];
-      emit(h,
-           old_profile.distinct_counts[i] + delta.distinct_counts[j],
-           old_profile.distinct_key(i));
-      size_t old_coll_begin = ci;
-      while (ci < old_profile.collision_hashes.size() &&
-             old_profile.collision_hashes[ci] == h) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(old_profile.collision_keys[ci]);
-        ++ci;
-      }
-      auto known = [&](std::string_view key) {
-        if (key == old_profile.distinct_key(i)) return true;
-        for (size_t k = old_coll_begin; k < ci; ++k) {
-          if (key == old_profile.collision_keys[k]) return true;
-        }
-        return false;
-      };
-      if (!known(delta.distinct_key(j))) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.emplace_back(delta.distinct_key(j));
-      }
-      while (cj < delta.collision_hashes.size() &&
-             delta.collision_hashes[cj] == h) {
-        if (!known(delta.collision_keys[cj])) {
-          m.collision_hashes.push_back(h);
-          m.collision_keys.push_back(std::move(delta.collision_keys[cj]));
-        }
-        ++cj;
-      }
-      ++i;
-      ++j;
-    }
-  }
-  m.distinct_offsets.push_back(m.distinct_pool.size());
-  m.num_distinct = m.distinct_hashes.size() + m.collision_keys.size();
-  if (m.non_null_count > 0) {
-    m.distinct_ratio = static_cast<double>(m.num_distinct) /
-                       static_cast<double>(m.non_null_count);
-    m.avg_value_length = static_cast<double>(m.key_bytes) /
-                         static_cast<double>(m.non_null_count);
-  }
-  // Min/max and the strided sample depend on the total non-null count (the
-  // stride phase restarts from row 0), so they are recomputed over the full
-  // column — a cheap numeric scan, not a key-rendering pass.
-  NumericStats(col, &m, max_sample);
-  return m;
-}
-
-TableProfile MergeAppendedTableProfile(const TableProfile& old_profile,
-                                       const Table& table,
-                                       size_t max_sample) {
-  AUTOBI_CHECK(old_profile.columns.size() == table.num_columns());
-  TableProfile tp;
-  tp.row_count = table.num_rows();
-  tp.columns.reserve(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    tp.columns.push_back(MergeAppendedColumnProfile(old_profile.columns[c],
-                                                    table.column(c),
-                                                    max_sample));
   }
   return tp;
 }

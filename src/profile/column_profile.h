@@ -106,24 +106,6 @@ TableProfile ProfileTable(const Table& table, size_t max_sample = 512);
 TableProfile ProfileTable(const Table& table, const TableKeyView& view,
                           size_t max_sample = 512);
 
-// Merges a cached profile forward over an append-only delta: `old_profile`
-// must be the profile of `col`'s first old_profile.row_count rows (the
-// caller establishes this via the per-column prefix content hash — see
-// core/schema_diff.h), and the result is bit-identical to
-// ProfileColumn(col) on every field. Key rendering, hashing, and distinct
-// aggregation run only over the appended suffix rows; the one full-column
-// pass left is the cheap numeric min/max/sample scan, whose strided sample
-// positions depend on the total non-null count and so cannot be merged.
-ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
-                                         const Column& col,
-                                         size_t max_sample = 512);
-
-// MergeAppendedColumnProfile over every column of a table; bit-identical to
-// ProfileTable(table) under the same prefix contract per column.
-TableProfile MergeAppendedTableProfile(const TableProfile& old_profile,
-                                       const Table& table,
-                                       size_t max_sample = 512);
-
 // A schema-shaped profile that never scans rows: per-column types only, zero
 // counts and empty distinct sets. Used when a RunContext row/cell budget
 // excludes a table from value probing — downstream treats the table exactly

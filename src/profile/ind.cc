@@ -1,5 +1,6 @@
 #include "profile/ind.h"
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -36,12 +37,11 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   const TableProfile& pj = profiles[tj];
   const size_t na = pi.columns.size();
   const size_t nb = pj.columns.size();
-  // Blocking admission for this pair: the caller's precomputed plan entry
-  // (cold path), or recomputed pair-locally from the two profiles
-  // (incremental path) — identical by construction. The exhaustive loop
-  // structure below is kept and non-admitted column pairs are skipped in
-  // place, so the iteration order of everything that still runs is exactly
-  // the oracle's.
+  // Blocking admission for this pair: the caller's precomputed plan entry,
+  // or recomputed pair-locally from the two profiles — identical by
+  // construction. The exhaustive loop structure below is kept and
+  // non-admitted column pairs are skipped in place, so the iteration order
+  // of everything that still runs is exactly the oracle's.
   PairBlocking local;
   if (options.blocking.enabled && blocking == nullptr) {
     local = ComputePairBlocking(pi, pj, options.blocking);
@@ -225,30 +225,6 @@ std::shared_ptr<const CompositeKeyCache::HashSet> CompositeKeyCache::Get(
   return future.get();
 }
 
-void CompositeKeyCache::Seed(int table_index, const std::vector<int>& columns,
-                             std::shared_ptr<const HashSet> set) {
-  std::promise<std::shared_ptr<const HashSet>> promise;
-  promise.set_value(std::move(set));
-  std::lock_guard<std::mutex> lock(mu_);
-  // emplace keeps any existing entry, so seeding never clobbers a build.
-  entries_.emplace(Key{table_index, columns}, promise.get_future().share());
-}
-
-std::vector<std::pair<CompositeKeyCache::Key,
-                      std::shared_ptr<const CompositeKeyCache::HashSet>>>
-CompositeKeyCache::Entries() {
-  std::vector<std::pair<Key, std::shared_ptr<const HashSet>>> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(entries_.size());
-  for (const auto& [key, future] : entries_) {
-    if (future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      out.emplace_back(key, future.get());
-    }
-  }
-  return out;
-}
-
 namespace {
 
 // Materializes key views for `cols` of `table` into `storage` and returns
@@ -338,12 +314,15 @@ double CompositeContainmentLegacy(const Table& ta, const std::vector<int>& ca,
   return static_cast<double>(hits) / static_cast<double>(total);
 }
 
-std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
-                              const std::vector<TableProfile>& profiles,
-                              const std::vector<std::vector<Ucc>>& uccs,
-                              const IndOptions& options, IndStats* stats,
-                              CompositeKeyCache* cache,
-                              const RunContext* ctx) {
+namespace {
+
+// The shared body of DiscoverInds (`subset` null: every table pair) and
+// DiscoverIndsForPairs (`subset`: the listed unordered pairs only).
+std::vector<Ind> DiscoverIndsImpl(
+    const std::vector<Table>& tables, const std::vector<TableProfile>& profiles,
+    const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,
+    const std::vector<std::pair<int, int>>* subset, IndStats* stats,
+    CompositeKeyCache* cache, const RunContext* ctx) {
   // Enumerate ordered pairs in the serial scan order, fan the per-pair scans
   // out, then concatenate per-pair results in that same order: the combined
   // IND list is byte-identical at any thread count. With blocking enabled
@@ -354,19 +333,37 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
   if (cache == nullptr) cache = &local_cache;
   size_t builds_before = cache->builds();
   int n = static_cast<int>(tables.size());
+  auto in_subset = [subset](int ti, int tj) {
+    return subset == nullptr ||
+           std::binary_search(subset->begin(), subset->end(),
+                              std::make_pair(std::min(ti, tj),
+                                             std::max(ti, tj)));
+  };
+  const bool global_plan =
+      options.blocking.enabled &&
+      (subset == nullptr || subset->size() >= tables.size());
   IndStats total;
   std::vector<std::pair<int, int>> pairs;
   std::vector<const PairBlocking*> pair_blocking;
   std::map<std::pair<int, int>, PairBlocking> plan;
-  if (options.blocking.enabled) {
+  if (global_plan) {
     plan = BuildBlockingPlan(profiles, options.blocking, &total.blocking,
                              options.threads, ctx);
     pairs.reserve(plan.size());
     pair_blocking.reserve(plan.size());
     for (const auto& [key, admission] : plan) {
+      if (!in_subset(key.first, key.second)) continue;
       pairs.push_back(key);
       pair_blocking.push_back(&admission);
     }
+  } else if (subset != nullptr) {
+    // Exhaustive or pair-local admission over the listed pairs only.
+    for (const auto& [i, j] : *subset) {
+      pairs.emplace_back(i, j);
+      pairs.emplace_back(j, i);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pair_blocking.assign(pairs.size(), nullptr);
   } else {
     pairs.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
     for (int ti = 0; ti < n; ++ti) {
@@ -394,7 +391,7 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
     result.insert(result.end(), std::make_move_iterator(part.inds.begin()),
                   std::make_move_iterator(part.inds.end()));
   }
-  if (options.blocking.enabled) {
+  if (global_plan) {
     // Per-pair scans only see blocked column pairs inside ACTIVE table
     // pairs; the plan-level pruned count covers never-scanned pairs too and
     // is the authoritative number.
@@ -405,6 +402,27 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
   total.composite_sets_built = cache->builds() - builds_before;
   if (stats != nullptr) *stats = total;
   return result;
+}
+
+}  // namespace
+
+std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
+                              const std::vector<TableProfile>& profiles,
+                              const std::vector<std::vector<Ucc>>& uccs,
+                              const IndOptions& options, IndStats* stats,
+                              CompositeKeyCache* cache,
+                              const RunContext* ctx) {
+  return DiscoverIndsImpl(tables, profiles, uccs, options, nullptr, stats,
+                          cache, ctx);
+}
+
+std::vector<Ind> DiscoverIndsForPairs(
+    const std::vector<Table>& tables, const std::vector<TableProfile>& profiles,
+    const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,
+    const std::vector<std::pair<int, int>>& pairs, IndStats* stats,
+    CompositeKeyCache* cache, const RunContext* ctx) {
+  return DiscoverIndsImpl(tables, profiles, uccs, options, &pairs, stats,
+                          cache, ctx);
 }
 
 }  // namespace autobi

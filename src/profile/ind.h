@@ -67,9 +67,9 @@ struct IndStats {
   size_t composite_probes = 0;      // Exact composite containments run.
   size_t composite_sets_built = 0;  // Referenced tuple-hash sets constructed.
   size_t composite_budget_truncations = 0;  // Pairs that hit the probe cap.
-  // Blocking-plan counters. On the cold path these are set once per
-  // DiscoverInds run from BuildBlockingPlan; incremental ScanTablePair
-  // calls contribute their pair-local admissions instead.
+  // Blocking-plan counters. A run that builds the global plan sets these
+  // once from BuildBlockingPlan; pair-local ScanTablePair calls (no plan)
+  // contribute their own admissions instead.
   BlockingStats blocking;
 
   void Add(const IndStats& o) {
@@ -100,19 +100,7 @@ class CompositeKeyCache {
   std::shared_ptr<const HashSet> Get(const Table& table, int table_index,
                                      const std::vector<int>& columns);
 
-  // Pre-seeds an already-built set (kept if the key is already present).
-  // The incremental engine re-injects sets of hash-proven-unchanged tables
-  // from the previous run this way: a set is a pure function of the table
-  // cells and the key columns, and consumers only probe it (count/size), so
-  // a reused set is observationally identical to a rebuilt one.
-  void Seed(int table_index, const std::vector<int>& columns,
-            std::shared_ptr<const HashSet> set);
-
-  // Snapshot of every entry whose set is ready (seeded or already built);
-  // in-flight builds are skipped. Used to persist sets across runs.
-  std::vector<std::pair<Key, std::shared_ptr<const HashSet>>> Entries();
-
-  // Number of sets actually constructed so far (seeded sets not included).
+  // Number of sets actually constructed so far.
   size_t builds() const { return builds_.load(std::memory_order_relaxed); }
 
  private:
@@ -172,16 +160,14 @@ struct IndPairScan {
 // Scans one ordered table pair (ti -> tj) for unary and composite INDs —
 // exactly the per-pair unit DiscoverInds fans out. Pure function of its
 // inputs apart from the (internally synchronized) composite-key cache, so
-// the incremental engine (core/incremental.h) can re-run just the pairs
-// touching changed tables and splice the results into cached ones:
 // concatenating per-pair results in DiscoverInds' serial pair order
 // reproduces a full scan byte-for-byte.
 //
 // `blocking` is the pair's admission from a precomputed BuildBlockingPlan
-// entry. Callers without a plan (the incremental engine) leave it null:
-// with options.blocking.enabled the admission is then recomputed
-// pair-locally via ComputePairBlocking — the predicate is a pure function
-// of the two profiles, so the result is identical either way.
+// entry. Callers without a plan leave it null: with
+// options.blocking.enabled the admission is then recomputed pair-locally
+// via ComputePairBlocking — the predicate is a pure function of the two
+// profiles, so the result is identical either way.
 IndPairScan ScanTablePair(const std::vector<Table>& tables,
                           const std::vector<TableProfile>& profiles,
                           const std::vector<std::vector<Ucc>>& uccs,
@@ -210,6 +196,22 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
                               IndStats* stats = nullptr,
                               CompositeKeyCache* cache = nullptr,
                               const RunContext* ctx = nullptr);
+
+// DiscoverInds restricted to the unordered table pairs in `pairs` ({i < j},
+// ascending): both orientations of each listed pair are scanned, in
+// DiscoverInds' ti-major order, and nothing else. This is how the
+// prediction pipeline re-scans only the pairs its pair memo missed
+// (core/predict_cache.h). A list with at least as many pairs as there are
+// tables takes its admissions from one global BuildBlockingPlan (whose
+// counters land in stats->blocking); a shorter one — the pairs touching a
+// few changed tables — recomputes each pair's admission locally
+// (ComputePairBlocking), which costs less than indexing every table. Both
+// admit exactly the same column pairs.
+std::vector<Ind> DiscoverIndsForPairs(
+    const std::vector<Table>& tables, const std::vector<TableProfile>& profiles,
+    const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,
+    const std::vector<std::pair<int, int>>& pairs, IndStats* stats = nullptr,
+    CompositeKeyCache* cache = nullptr, const RunContext* ctx = nullptr);
 
 }  // namespace autobi
 

@@ -75,11 +75,10 @@ inline void MixBytes(uint64_t& h, const void* data, size_t n) {
 
 inline void MixU64(uint64_t& h, uint64_t v) { MixBytes(h, &v, sizeof(v)); }
 
-// The shared cell-stream accumulator of every content-hash variant below:
-// declared type, cell count, then each of the first `rows` cells with its
-// null/int/double/string tag. Keeping it in one place is what makes the
-// prefix hash byte-identical to the full hash of a truncated column.
-inline void MixColumnCells(uint64_t& h, const Column& column, size_t rows) {
+// The cell stream of a column: declared type, cell count, then each cell
+// with its null/int/double/string tag.
+inline void MixColumnCells(uint64_t& h, const Column& column) {
+  const size_t rows = column.size();
   MixU64(h, uint64_t(column.type()));
   MixU64(h, rows);
   for (size_t r = 0; r < rows; ++r) {
@@ -115,55 +114,26 @@ inline void MixColumnCells(uint64_t& h, const Column& column, size_t rows) {
 
 }  // namespace
 
-// The named content hashes are defined as a recomposition of the name-free
-// cells hash so that a caller holding the cells hash gets the named hash for
-// free (one cell pass yields both; see ColumnContentHashFromCells).
-
-uint64_t ColumnContentHashFromCells(std::string_view name,
-                                    uint64_t cells_hash) {
-  uint64_t h = 1469598103934665603ULL;
-  MixBytes(h, name.data(), name.size());
-  MixByte(h, 0);  // Name/content separator.
-  MixU64(h, cells_hash);
-  return SplitMix64(h);
-}
-
 uint64_t ColumnContentHash(const Column& column) {
-  return ColumnContentHashFromCells(column.name(), ColumnCellsHash(column));
-}
-
-uint64_t ColumnContentHashPrefix(const Column& column, size_t rows) {
-  return ColumnContentHashFromCells(column.name(),
-                                    ColumnCellsHashPrefix(column, rows));
-}
-
-uint64_t ColumnCellsHash(const Column& column) {
-  return ColumnCellsHashPrefix(column, column.size());
-}
-
-uint64_t ColumnCellsHashPrefix(const Column& column, size_t rows) {
+  // A digest of the cells, then the name folded around it.
+  uint64_t cells = 1469598103934665603ULL;
+  MixColumnCells(cells, column);
   uint64_t h = 1469598103934665603ULL;
-  MixColumnCells(h, column, rows);
-  return SplitMix64(h);
-}
-
-uint64_t TableContentHashFromColumnHashes(
-    std::string_view name, const std::vector<uint64_t>& column_hashes) {
-  uint64_t h = 1469598103934665603ULL;
-  MixBytes(h, name.data(), name.size());
-  MixByte(h, 0);
-  MixU64(h, column_hashes.size());
-  for (uint64_t ch : column_hashes) MixU64(h, ch);
+  MixBytes(h, column.name().data(), column.name().size());
+  MixByte(h, 0);  // Name/content separator.
+  MixU64(h, SplitMix64(cells));
   return SplitMix64(h);
 }
 
 uint64_t TableContentHash(const Table& table) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(table.num_columns());
+  uint64_t h = 1469598103934665603ULL;
+  MixBytes(h, table.name().data(), table.name().size());
+  MixByte(h, 0);
+  MixU64(h, table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    hashes.push_back(ColumnContentHash(table.column(c)));
+    MixU64(h, ColumnContentHash(table.column(c)));
   }
-  return TableContentHashFromColumnHashes(table.name(), hashes);
+  return SplitMix64(h);
 }
 
 uint64_t TablesContentHash(const std::vector<Table>& tables) {

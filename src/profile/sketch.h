@@ -102,51 +102,19 @@ inline uint64_t SplitMix64(uint64_t x) {
 // the prediction service hashes identically and skips re-profiling.
 uint64_t ColumnContentHash(const Column& column);
 
-// ColumnContentHash restricted to the column's first `rows` cells:
-// byte-identical to ColumnContentHash of the column truncated to that length
-// (`rows` must be <= column.size(); rows == column.size() gives exactly
-// ColumnContentHash). This is how the schema-diff stage
-// (core/schema_diff.h) proves a table is an append-only extension of a
-// cached one — the old per-column hashes must reappear as prefix hashes of
-// the new columns.
-uint64_t ColumnContentHashPrefix(const Column& column, size_t rows);
-
-// Name-free content hash of a column: declared type + every cell, the name
-// excluded. Two columns agree iff their cells (and type) are byte-identical
-// regardless of what they are called — the signal the schema-diff stage uses
-// to classify a column/table rename as "same cells, new name".
-uint64_t ColumnCellsHash(const Column& column);
-
-// ColumnCellsHash restricted to the column's first `rows` cells (the prefix
-// analogue; rows == column.size() gives exactly ColumnCellsHash).
-uint64_t ColumnCellsHashPrefix(const Column& column, size_t rows);
-
-// Recomposes the named content hash from a column's name and an already
-// computed cells hash: ColumnContentHash(col) ==
-// ColumnContentHashFromCells(col.name(), ColumnCellsHash(col)), and likewise
-// for the prefix forms. Callers that need both hashes of a column (the
-// schema-diff snapshot stage) use this to pay a single pass over the cells.
-uint64_t ColumnContentHashFromCells(std::string_view name,
-                                    uint64_t cells_hash);
-
 // Content hash of a whole table: name + per-column content hashes, order
 // sensitive, SplitMix64-combined. Cost is one linear pass over the cell
 // bytes — roughly an order of magnitude cheaper than profiling the table.
 uint64_t TableContentHash(const Table& table);
-
-// TableContentHash recomposed from precomputed per-column content hashes
-// (column_hashes[c] == ColumnContentHash(table.column(c))). The snapshot
-// stage derives the table hash from the column hashes it already holds.
-uint64_t TableContentHashFromColumnHashes(
-    std::string_view name, const std::vector<uint64_t>& column_hashes);
 
 // Content hash of an ordered table set (a whole prediction case).
 uint64_t TablesContentHash(const std::vector<Table>& tables);
 
 // TablesContentHash recomposed from precomputed per-table content hashes
 // (table_hashes[i] == TableContentHash(tables[i])). Lets callers that
-// already hashed every table (the schema-diff stage) derive the case hash
-// without another pass over the cell bytes.
+// already hashed every table (AutoBi::Predict hashes each table once and
+// reuses the hashes for the profile, pair and solve keys) derive the case
+// hash without another pass over the cell bytes.
 uint64_t TablesContentHashFromHashes(const std::vector<uint64_t>& table_hashes);
 
 // Streaming hash of the composite tuple of `columns` at row r. Byte-for-byte

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "core/incremental.h"
 #include "core/model_export.h"
 #include "fuzz/faultpoints.h"
 #include "profile/sketch.h"
@@ -174,8 +173,11 @@ Json CacheStatsToJson(const PredictCache::Stats& s) {
   obj.Set("table_misses", Json::MakeInt(int64_t(s.table_misses)));
   obj.Set("solve_hits", Json::MakeInt(int64_t(s.solve_hits)));
   obj.Set("solve_misses", Json::MakeInt(int64_t(s.solve_misses)));
+  obj.Set("pair_hits", Json::MakeInt(int64_t(s.pair_hits)));
+  obj.Set("pair_misses", Json::MakeInt(int64_t(s.pair_misses)));
   obj.Set("table_entries", Json::MakeInt(int64_t(s.table_entries)));
   obj.Set("solve_entries", Json::MakeInt(int64_t(s.solve_entries)));
+  obj.Set("pair_entries", Json::MakeInt(int64_t(s.pair_entries)));
   obj.Set("evictions", Json::MakeInt(int64_t(s.evictions)));
   return obj;
 }
@@ -253,9 +255,8 @@ StatusOr<Table> TableFromColumnsJson(const std::string& name,
 
 // Appends a columns-form delta to `table` in place: the delta must carry
 // exactly the table's columns (same names, same order) with equal-length
-// value arrays, typed compatibly with the existing cells. The append-only
-// shape is what the incremental engine's schema diff recognizes as
-// kAppended — old rows keep their byte-identical prefix.
+// value arrays, typed compatibly with the existing cells. Old rows keep
+// their byte-identical prefix.
 Status AppendDeltaColumns(Table* table, const Json& columns) {
   if (columns.size() != table->num_columns()) {
     return Status::InvalidInput(StrFormat(
@@ -593,8 +594,8 @@ Json ServeEngine::HandleUpdateTable(const Json& req) {
   Session& session = it->second;
   // Copy-on-write like upload_table: the append mutates a fresh copy, so a
   // shape/type error discards it and Predicts on the old snapshot are
-  // unaffected. The committed table keeps its old rows byte-identical —
-  // the incremental engine's diff classifies it as append-only.
+  // unaffected. The appended table has a new content hash, so the next
+  // predict re-profiles it and re-scans only the table pairs it is in.
   auto next = std::make_shared<std::vector<Table>>(*session.tables);
   Table* target = nullptr;
   for (Table& t : *next) {
@@ -639,11 +640,11 @@ Json ServeEngine::HandlePredict(const Json& req) {
   if (!mode_name.ok()) return MakeErrorResponse(&req, mode_name.status());
   StatusOr<AutoBiMode> mode = ParseMode(*mode_name);
   if (!mode.ok()) return MakeErrorResponse(&req, mode.status());
-  // Opt-in delta path: diff against the session's previous incremental run
-  // and recompute only what changed. Bit-identical joins/degradation to a
-  // plain predict over the same tables; the response additionally carries
-  // the "incremental" counters. Plain predicts keep the solve-memo
-  // semantics (the delta path populates but never consults the memo).
+  // {"incremental": true}: recompute through the table and pair memos of
+  // the shared cache instead of answering from the solve memo (which it
+  // still populates). Bit-identical joins/degradation to a plain predict
+  // over the same tables; the response additionally carries the
+  // "incremental" reuse counters.
   StatusOr<bool> incremental = req.GetBool("incremental", false);
   if (!incremental.ok()) return MakeErrorResponse(&req, incremental.status());
 
@@ -702,28 +703,10 @@ Json ServeEngine::HandlePredict(const Json& req) {
   ab.cache = &cache_;
   AutoBi predictor(model_, ab);
   ++predicts_;
-  // Take the session's incremental state (if any) for exclusive use — the
-  // engine must not share one state across concurrent calls. It goes back
-  // on the session after the run, errors included (a failed run leaves the
-  // state describing the last healthy one).
-  std::shared_ptr<IncrementalState> inc_state;
-  if (*incremental) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(*id);
-    if (it != sessions_.end()) inc_state = std::move(it->second.incremental);
-    if (inc_state == nullptr) inc_state = std::make_shared<IncrementalState>();
-  }
   StatusOr<AutoBiResult> result =
-      *incremental ? predictor.PredictIncremental(*tables, &ctx, inc_state.get())
+      *incremental ? predictor.PredictIncremental(*tables, &ctx)
                    : predictor.Predict(*tables, &ctx);
-  if (!result.ok()) {
-    if (inc_state != nullptr) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(*id);
-      if (it != sessions_.end()) it->second.incremental = std::move(inc_state);
-    }
-    return MakeErrorResponse(&req, result.status());
-  }
+  if (!result.ok()) return MakeErrorResponse(&req, result.status());
 
   std::vector<NamedJoin> joins = NameJoins(*tables, result->model);
 
@@ -742,7 +725,6 @@ Json ServeEngine::HandlePredict(const Json& req) {
       session.has_predicted = true;
       session.last_model = result->model;
       session.last_tables = tables;
-      if (inc_state != nullptr) session.incremental = std::move(inc_state);
     }
   }
 
@@ -767,14 +749,10 @@ Json ServeEngine::HandlePredict(const Json& req) {
     inc.Set("used", Json::MakeBool(result->incremental.used));
     inc.Set("tables_reprofiled",
             Json::MakeInt(int64_t(result->incremental.tables_reprofiled)));
-    inc.Set("tables_delta_merged",
-            Json::MakeInt(int64_t(result->incremental.tables_delta_merged)));
     inc.Set("pairs_rescored",
             Json::MakeInt(int64_t(result->incremental.pairs_rescored)));
     inc.Set("pairs_reused",
             Json::MakeInt(int64_t(result->incremental.pairs_reused)));
-    inc.Set("warm_start_used",
-            Json::MakeBool(result->incremental.warm_start_used));
     resp.Set("incremental", std::move(inc));
   }
   // Lake-scale observability (PR 9): what the blocking stage pruned and how

@@ -179,13 +179,6 @@ class ServeEngine {
     // The model + table snapshot backing the latest Predict, for exports.
     BiModel last_model;
     std::shared_ptr<const std::vector<Table>> last_tables;
-    // Cross-request state of the delta path (core/incremental.h), created
-    // lazily by the first {"incremental": true} predict. A predict takes it
-    // out under the session lock (PredictIncremental must not share state
-    // across concurrent calls) and puts it back when done — concurrent
-    // incremental predicts on one session are last-writer-wins, the loser
-    // simply running cold next time.
-    std::shared_ptr<IncrementalState> incremental;
   };
 
   Json HandlePing(const Json& req);

@@ -63,7 +63,6 @@ inline size_t FormatDouble(double v, char* buf, size_t buf_size) {
 void ColumnKeyView::Build(const Column& col) {
   size_t n = col.size();
   col_ = nullptr;
-  row_offset_ = 0;
   pool_.clear();
   hashes_.assign(n, 0);
   num_non_null_ = col.num_non_null();
@@ -137,66 +136,6 @@ void ColumnKeyView::Build(const Column& col) {
   }
   offsets_[n] = pool_.size();
   key_bytes_ = pool_.size();
-}
-
-void ColumnKeyView::BuildSuffix(const Column& col, size_t from_row) {
-  size_t total = col.size();
-  AUTOBI_CHECK_MSG(from_row <= total, "suffix view past the end of the column");
-  size_t n = total - from_row;
-  col_ = nullptr;
-  row_offset_ = from_row;
-  pool_.clear();
-  hashes_.assign(n, 0);
-  // Unlike Build, the suffix null count is not known up front (the column
-  // only tracks a whole-column total), so the mask is carried through the
-  // pass and dropped afterwards if the suffix turned out dense.
-  null_.assign(n, 0);
-  has_nulls_ = true;
-  num_non_null_ = 0;
-  key_bytes_ = 0;
-
-  if (col.type() == ValueType::kString) {
-    col_ = &col;
-    offsets_.clear();
-    size_t bytes = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t r = from_row + i;
-      if (col.IsNull(r)) {
-        null_[i] = 1;
-        continue;
-      }
-      const std::string& s = col.Str(r);
-      bytes += s.size();
-      hashes_[i] = FnvMix(kFnvOffset, s.data(), s.size());
-      ++num_non_null_;
-    }
-    key_bytes_ = bytes;
-  } else if (col.type() == ValueType::kNull) {
-    offsets_.assign(n + 1, 0);
-    for (size_t i = 0; i < n; ++i) null_[i] = 1;
-  } else {
-    offsets_.assign(n + 1, 0);
-    pool_.reserve(n * 8);
-    char buf[40];
-    for (size_t i = 0; i < n; ++i) {
-      size_t r = from_row + i;
-      offsets_[i] = pool_.size();
-      if (col.IsNull(r)) {
-        null_[i] = 1;
-        continue;
-      }
-      size_t len = col.type() == ValueType::kInt
-                       ? FormatInt64(col.Int(r), buf)
-                       : FormatDouble(col.Double(r), buf, sizeof(buf));
-      pool_.append(buf, len);
-      hashes_[i] = FnvMix(kFnvOffset, buf, len);
-      ++num_non_null_;
-    }
-    offsets_[n] = pool_.size();
-    key_bytes_ = pool_.size();
-  }
-  has_nulls_ = num_non_null_ < n || col.type() == ValueType::kNull;
-  if (!has_nulls_) null_.clear();
 }
 
 void TableKeyView::Build(const Table& table) {

@@ -39,15 +39,6 @@ class ColumnKeyView {
   // (Re)builds the view from `col`.
   void Build(const Column& col);
 
-  // (Re)builds the view over the row suffix [from_row, col.size()) — the
-  // delta batch of an append-only update. View index i addresses column row
-  // from_row + i; keys, hashes, and null semantics are exactly those Build
-  // would produce for the same cells, and string columns still borrow the
-  // column's storage. This is what lets a cached ColumnProfile be merged
-  // forward without rescanning old rows (profile/column_profile.h,
-  // MergeAppendedColumnProfile).
-  void BuildSuffix(const Column& col, size_t from_row);
-
   size_t size() const { return hashes_.size(); }
   // Nulls short-circuit on a flag: the common all-non-null column never
   // allocates (or reads) a null mask.
@@ -58,7 +49,7 @@ class ColumnKeyView {
   std::string_view key(size_t i) const {
     if (col_ != nullptr) {
       return IsNull(i) ? std::string_view()
-                       : std::string_view(col_->Str(i + row_offset_));
+                       : std::string_view(col_->Str(i));
     }
     return std::string_view(pool_.data() + offsets_[i],
                             offsets_[i + 1] - offsets_[i]);
@@ -74,7 +65,6 @@ class ColumnKeyView {
 
  private:
   const Column* col_ = nullptr;  // Set for string columns (borrowed keys).
-  size_t row_offset_ = 0;        // First column row of a suffix view.
   std::string pool_;
   std::vector<uint64_t> offsets_;  // size() + 1 entries into pool_.
   std::vector<uint64_t> hashes_;   // Per-row stable hash (0 for nulls).

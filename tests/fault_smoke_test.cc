@@ -30,8 +30,9 @@ TEST(FaultFuzzSmoke, ThousandCasesNoInvariantViolations) {
 }
 
 // The dedicated schema-evolution campaign: every case replays a mutation
-// sequence through PredictIncremental and cross-checks a cold Predict after
-// each step. Any incremental/cold divergence is an invariant violation.
+// sequence through Predict on one shared PredictCache and cross-checks an
+// uncached Predict after each step. Any cached/uncached divergence is an
+// invariant violation.
 TEST(FaultFuzzSmoke, SchemaEvolutionDifferentialCampaign) {
   FaultFuzzOptions options;
   options.seed = 20260808;

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/auto_bi.h"
 #include "core/candidates.h"
 #include "core/predict_cache.h"
@@ -161,6 +164,90 @@ TEST(PredictCacheTest, TableShardHitMissAndEviction) {
   stats = cache.GetStats();
   EXPECT_EQ(stats.table_hits, 1u);
   EXPECT_GE(stats.table_misses, 2u);
+}
+
+TEST(PredictCacheTest, FifoEvictionOverThreeTimesCapacity) {
+  constexpr uint64_t kCapacity = 4;
+  PredictCache::Options options;
+  options.max_table_entries = kCapacity;
+  PredictCache cache(options);
+  for (uint64_t k = 1; k <= 3 * kCapacity; ++k) {
+    cache.InsertTable(k, std::make_shared<PredictCache::TableEntry>());
+    // A duplicate insert is a no-op: it neither grows nor reorders the
+    // queue.
+    cache.InsertTable(k, std::make_shared<PredictCache::TableEntry>());
+  }
+  PredictCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.table_entries, kCapacity);
+  EXPECT_EQ(stats.evictions, 2 * kCapacity);
+  // Oldest first: exactly the last kCapacity keys survive.
+  for (uint64_t k = 1; k <= 3 * kCapacity; ++k) {
+    EXPECT_EQ(cache.FindTable(k) != nullptr, k > 2 * kCapacity) << k;
+  }
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.table_hits, kCapacity);
+  EXPECT_EQ(stats.table_misses, 2 * kCapacity);
+
+  // Eviction continues in insertion order once full: the next insert
+  // evicts the oldest survivor and nothing else.
+  cache.InsertTable(100, std::make_shared<PredictCache::TableEntry>());
+  EXPECT_EQ(cache.FindTable(2 * kCapacity + 1), nullptr);
+  EXPECT_NE(cache.FindTable(2 * kCapacity + 2), nullptr);
+  EXPECT_NE(cache.FindTable(100), nullptr);
+  EXPECT_EQ(cache.GetStats().evictions, 2 * kCapacity + 1);
+
+  // The pair shard is bounded at 16x the table capacity, same discipline.
+  std::vector<std::pair<uint64_t,
+                        std::shared_ptr<const PredictCache::PairEntry>>>
+      pairs;
+  auto empty = std::make_shared<const PredictCache::PairEntry>();
+  for (uint64_t k = 1; k <= 3 * 16 * kCapacity; ++k) pairs.emplace_back(k, empty);
+  cache.InsertPairs(pairs);
+  EXPECT_EQ(cache.GetStats().pair_entries, 16 * kCapacity);
+  std::vector<std::shared_ptr<const PredictCache::PairEntry>> found =
+      cache.FindPairs({1, 2 * 16 * kCapacity, 2 * 16 * kCapacity + 1});
+  EXPECT_EQ(found[0], nullptr);
+  EXPECT_EQ(found[1], nullptr);
+  EXPECT_EQ(found[2], empty);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.pair_hits, 1u);
+  EXPECT_EQ(stats.pair_misses, 2u);
+  EXPECT_EQ(stats.evictions, 2 * kCapacity + 1 + 2 * 16 * kCapacity);
+}
+
+TEST(PredictCacheTest, ShardMatchesAReferenceFifoMapUnderCollidingKeys) {
+  // The low bits of a key pick its home slot. These keys take only four
+  // low-bit values, all next to the end of the slot array at any table
+  // size up to 128 slots, so they pile into long probe runs that wrap
+  // around, and every insert, eviction and lookup exercises run-preserving
+  // deletion. The reference is std::map + deque.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    PredictCache::Options options;
+    options.max_table_entries = 1 + rng.NextBelow(40);
+    PredictCache cache(options);
+    std::map<uint64_t, std::shared_ptr<const PredictCache::TableEntry>> ref;
+    std::deque<uint64_t> order;
+    for (int op = 0; op < 5000; ++op) {
+      const uint64_t key = (rng.NextBelow(200) << 20) | (127 - rng.NextBelow(4));
+      if (rng.NextBool(0.5)) {
+        auto entry = std::make_shared<PredictCache::TableEntry>();
+        cache.InsertTable(key, entry);
+        if (ref.emplace(key, entry).second) {
+          order.push_back(key);
+          if (ref.size() > options.max_table_entries) {
+            ref.erase(order.front());
+            order.pop_front();
+          }
+        }
+      } else {
+        auto it = ref.find(key);
+        ASSERT_EQ(cache.FindTable(key), it == ref.end() ? nullptr : it->second)
+            << "seed " << seed << " op " << op;
+      }
+    }
+    EXPECT_EQ(cache.GetStats().table_entries, ref.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -474,8 +561,8 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   std::string predict_line = R"({"verb":"predict","session":")" + session +
                              R"(","tier":"standard","incremental":true})";
 
-  // First incremental predict: a cold rebuild through the delta engine —
-  // everything reprofiled, nothing reused, counters say so.
+  // First incremental predict on a fresh engine: everything profiled and
+  // scanned, nothing reused, counters say so.
   Json first = Call(engine, predict_line);
   ASSERT_TRUE(IsOk(first)) << first.Write();
   const Json* inc = first.Find("incremental");
@@ -486,8 +573,8 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   EXPECT_EQ(inc->Find("pairs_reused")->AsInt(), 0);
 
   // Append ten orders rows. The response reports the append, and the next
-  // incremental predict merges the orders profile forward instead of
-  // reprofiling anything (tables_reprofiled == changed-from-scratch == 0).
+  // incremental predict re-profiles only orders; customers comes from the
+  // table memo.
   Json updated = Call(engine, UpdateOrdersLine(session, 150, 10));
   ASSERT_TRUE(IsOk(updated)) << updated.Write();
   EXPECT_EQ(updated.Find("rows_appended")->AsInt(), 10);
@@ -498,9 +585,9 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   inc = second.Find("incremental");
   ASSERT_NE(inc, nullptr);
   EXPECT_TRUE(inc->Find("used")->AsBool());
-  EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 0);
-  EXPECT_EQ(inc->Find("tables_delta_merged")->AsInt(), 1);
+  EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 1);
   EXPECT_EQ(inc->Find("pairs_rescored")->AsInt(), 1);
+  EXPECT_EQ(inc->Find("tables_delta_merged"), nullptr);
 
   // A fresh session holding the full 160-row orders table predicts the
   // exact same joins and model export with a plain (non-incremental)
@@ -525,17 +612,16 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   ASSERT_TRUE(IsOk(inc_model) && IsOk(ref_model));
   EXPECT_EQ(inc_model.Find("model")->Write(), ref_model.Find("model")->Write());
 
-  // No-op re-predict: everything reused, solve warm-started wholesale.
+  // No-op re-predict: every pair reused, the solve simply re-run.
   Json third = Call(engine, predict_line);
   ASSERT_TRUE(IsOk(third)) << third.Write();
   inc = third.Find("incremental");
   ASSERT_NE(inc, nullptr);
   EXPECT_TRUE(inc->Find("used")->AsBool());
   EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 0);
-  EXPECT_EQ(inc->Find("tables_delta_merged")->AsInt(), 0);
   EXPECT_EQ(inc->Find("pairs_rescored")->AsInt(), 0);
   EXPECT_EQ(inc->Find("pairs_reused")->AsInt(), 1);
-  EXPECT_TRUE(inc->Find("warm_start_used")->AsBool());
+  EXPECT_EQ(inc->Find("warm_start_used"), nullptr);
   EXPECT_EQ(third.Find("joins")->Write(), second.Find("joins")->Write());
 
   // A replace-style change (re-upload with different cells) reprofiles
@@ -548,6 +634,38 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   ASSERT_NE(inc, nullptr);
   EXPECT_TRUE(inc->Find("used")->AsBool());
   EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 1);
+}
+
+TEST(ServeEngineTest, SecondSessionReusesFirstSessionsPairs) {
+  // Reuse is keyed by content, not by session: a session that uploads the
+  // tables of another reuses every table pair that one computed, on its
+  // first incremental predict.
+  ServeOptions options;
+  options.threads = 2;
+  ServeEngine engine(&TestModel(), options);
+  const Table regions = MakeTable("regions", 20);
+  std::string a = SetUpStarSession(engine);
+  ASSERT_TRUE(IsOk(Call(engine, UploadLine(a, regions))));
+  Json first = Call(engine, R"({"verb":"predict","session":")" + a + R"("})");
+  ASSERT_TRUE(IsOk(first)) << first.Write();
+  EXPECT_EQ(first.Find("cache")->Find("pair_entries")->AsInt(), 3);
+
+  std::string b = SetUpStarSession(engine);
+  ASSERT_TRUE(IsOk(Call(engine, UploadLine(b, regions))));
+  Json second = Call(engine, R"({"verb":"predict","session":")" + b +
+                                 R"(","incremental":true})");
+  ASSERT_TRUE(IsOk(second)) << second.Write();
+  const Json* inc = second.Find("incremental");
+  ASSERT_NE(inc, nullptr);
+  EXPECT_TRUE(inc->Find("used")->AsBool());
+  EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 0);
+  EXPECT_EQ(inc->Find("pairs_rescored")->AsInt(), 0);
+  EXPECT_EQ(inc->Find("pairs_reused")->AsInt(), 3);  // All pairs of 3 tables.
+  const Json* cache = second.Find("cache");
+  EXPECT_EQ(cache->Find("pair_hits")->AsInt(), 3);
+  EXPECT_EQ(cache->Find("pair_misses")->AsInt(), 3);  // Session A's cold run.
+  EXPECT_EQ(cache->Find("solve_hits")->AsInt(), 0);  // Not a solve-memo hit.
+  EXPECT_EQ(first.Find("joins")->Write(), second.Find("joins")->Write());
 }
 
 TEST(ServeEngineTest, UpdateTableRejectsMalformedDeltas) {

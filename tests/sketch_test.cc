@@ -233,166 +233,6 @@ TEST(SketchTest, BlockingKeepsContainedHighCardinalityPair) {
   EXPECT_DOUBLE_EQ(inds[0].containment, 1.0);
 }
 
-// --- Mergeable profile sketches (MergeAppendedColumnProfile) ---------------
-
-// Copies the first `rows` cells of a column (same name and type).
-Column PrefixColumn(const Column& col, size_t rows) {
-  Column out(col.name(), col.type());
-  for (size_t r = 0; r < rows; ++r) {
-    if (col.IsNull(r)) {
-      out.AppendNull();
-    } else if (col.type() == ValueType::kInt) {
-      out.AppendInt(col.Int(r));
-    } else if (col.type() == ValueType::kDouble) {
-      out.AppendDouble(col.Double(r));
-    } else {
-      out.AppendString(col.Str(r));
-    }
-  }
-  return out;
-}
-
-// Every ColumnProfile field, bitwise — the merge contract is bit-identity
-// with a from-scratch profile, not approximation.
-void ExpectMergedEqualsFromScratch(const ColumnProfile& merged,
-                                   const ColumnProfile& scratch) {
-  EXPECT_EQ(merged.type, scratch.type);
-  EXPECT_EQ(merged.row_count, scratch.row_count);
-  EXPECT_EQ(merged.non_null_count, scratch.non_null_count);
-  EXPECT_EQ(merged.num_distinct, scratch.num_distinct);
-  EXPECT_EQ(merged.distinct_hashes, scratch.distinct_hashes);
-  EXPECT_EQ(merged.distinct_counts, scratch.distinct_counts);
-  EXPECT_EQ(merged.distinct_pool, scratch.distinct_pool);
-  EXPECT_EQ(merged.distinct_offsets, scratch.distinct_offsets);
-  EXPECT_EQ(merged.distinct_ratio, scratch.distinct_ratio);
-  EXPECT_EQ(merged.is_numeric, scratch.is_numeric);
-  EXPECT_EQ(merged.min_value, scratch.min_value);
-  EXPECT_EQ(merged.max_value, scratch.max_value);
-  EXPECT_EQ(merged.sorted_numeric_sample, scratch.sorted_numeric_sample);
-  EXPECT_EQ(merged.avg_value_length, scratch.avg_value_length);
-  EXPECT_EQ(merged.key_bytes, scratch.key_bytes);
-  EXPECT_EQ(merged.collision_hashes, scratch.collision_hashes);
-  EXPECT_EQ(merged.collision_keys, scratch.collision_keys);
-}
-
-// old-profile ∪ appended-delta == from-scratch, on adversarial randomized
-// columns (separator/escape values, nulls, duplicates) at every split point
-// flavor: empty prefix, empty delta, and interior splits.
-class MergeEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MergeEquivalenceTest, MergedProfileEqualsFromScratch) {
-  Rng rng(GetParam() * 912839 + 7);
-  size_t rows = 1 + rng.NextBelow(250);
-  Column full = RandomColumn(&rng, rows, 0.15);
-  ColumnProfile scratch = ProfileColumn(full);
-  std::vector<size_t> splits = {0, rows, rows / 2, 1 + rng.NextBelow(rows)};
-  for (size_t split : splits) {
-    Column prefix = PrefixColumn(full, split);
-    ColumnProfile old_profile = ProfileColumn(prefix);
-    ColumnProfile merged = MergeAppendedColumnProfile(old_profile, full);
-    ExpectMergedEqualsFromScratch(merged, scratch);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MergeEquivalenceTest,
-                         ::testing::Range(uint64_t{1}, uint64_t{13}));
-
-TEST(SketchTest, MergeHandlesAllNullAndNumericColumns) {
-  Column nulls("n", ValueType::kString);
-  for (int i = 0; i < 8; ++i) nulls.AppendNull();
-  ColumnProfile null_prefix = ProfileColumn(PrefixColumn(nulls, 3));
-  ExpectMergedEqualsFromScratch(MergeAppendedColumnProfile(null_prefix, nulls),
-                                ProfileColumn(nulls));
-
-  Column ints("i", ValueType::kInt);
-  for (int i = 0; i < 40; ++i) ints.AppendInt(i % 7);
-  ColumnProfile int_prefix = ProfileColumn(PrefixColumn(ints, 25));
-  ExpectMergedEqualsFromScratch(MergeAppendedColumnProfile(int_prefix, ints),
-                                ProfileColumn(ints));
-
-  Column dbl("d", ValueType::kDouble);
-  for (int i = 0; i < 30; ++i) {
-    if (i % 5 == 0) {
-      dbl.AppendNull();
-    } else {
-      dbl.AppendDouble(i * 0.25);
-    }
-  }
-  ColumnProfile dbl_prefix = ProfileColumn(PrefixColumn(dbl, 11));
-  ExpectMergedEqualsFromScratch(MergeAppendedColumnProfile(dbl_prefix, dbl),
-                                ProfileColumn(dbl));
-}
-
-TEST(SketchTest, MergeAppendedTableProfileMatchesProfileTable) {
-  Rng rng(4242);
-  Table full("t");
-  for (int c = 0; c < 3; ++c) {
-    Column& col = full.AddColumn(StrFormat("c%d", c), ValueType::kString);
-    for (int r = 0; r < 120; ++r) {
-      if (rng.NextBool(0.1)) {
-        col.AppendNull();
-      } else {
-        col.AppendString(kValuePool[rng.NextBelow(std::size(kValuePool))]);
-      }
-    }
-  }
-  Table prefix("t");
-  for (size_t c = 0; c < full.num_columns(); ++c) {
-    const Column& src = full.column(c);
-    Column& dst = prefix.AddColumn(src.name(), src.type());
-    for (size_t r = 0; r < 70; ++r) {
-      if (src.IsNull(r)) {
-        dst.AppendNull();
-      } else {
-        dst.AppendString(src.Str(r));
-      }
-    }
-  }
-  TableProfile old_profile = ProfileTable(prefix);
-  TableProfile merged = MergeAppendedTableProfile(old_profile, full);
-  TableProfile scratch = ProfileTable(full);
-  ASSERT_EQ(merged.columns.size(), scratch.columns.size());
-  EXPECT_EQ(merged.row_count, scratch.row_count);
-  for (size_t c = 0; c < merged.columns.size(); ++c) {
-    ExpectMergedEqualsFromScratch(merged.columns[c], scratch.columns[c]);
-  }
-}
-
-// --- Content-hash identities the schema diff depends on --------------------
-
-TEST(SketchTest, PrefixHashEqualsHashOfTruncatedColumn) {
-  Rng rng(77);
-  Column full = RandomColumn(&rng, 90, 0.2);
-  EXPECT_EQ(ColumnContentHashPrefix(full, full.size()),
-            ColumnContentHash(full));
-  for (size_t rows : {size_t{0}, size_t{1}, size_t{45}, size_t{89}}) {
-    EXPECT_EQ(ColumnContentHashPrefix(full, rows),
-              ColumnContentHash(PrefixColumn(full, rows)))
-        << rows;
-  }
-}
-
-TEST(SketchTest, CellsHashIgnoresNamesButNotCellsOrTypes) {
-  Rng rng(78);
-  Column a = RandomColumn(&rng, 60, 0.1);
-  Column renamed("other_name", a.type());
-  for (size_t r = 0; r < a.size(); ++r) {
-    if (a.IsNull(r)) {
-      renamed.AppendNull();
-    } else {
-      renamed.AppendString(a.Str(r));
-    }
-  }
-  EXPECT_EQ(ColumnCellsHash(a), ColumnCellsHash(renamed));
-  EXPECT_NE(ColumnContentHash(a), ColumnContentHash(renamed));
-
-  Column ints("c", ValueType::kInt);
-  ints.AppendInt(3);
-  Column strs("c", ValueType::kString);
-  strs.AppendString("3");
-  EXPECT_NE(ColumnCellsHash(ints), ColumnCellsHash(strs));
-}
-
 // --- Corpus-level identity guards -----------------------------------------
 
 std::string SerializeInds(const std::vector<Ind>& inds) {

@@ -239,7 +239,7 @@ namespace {
 
 // The pipeline proper. May throw (pool-propagated worker exceptions,
 // injected parallel-task faults); the public entry points convert those to
-// kInternal. `table_hashes[i]` is TableContentHash(tables[i]).
+// kInternal. `table_hashes` comes from HashTables.
 AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
                          const std::vector<Table>& tables,
                          const std::vector<uint64_t>& table_hashes,
@@ -323,13 +323,14 @@ StatusOr<AutoBiResult> PredictWithMemos(const LocalModel& model,
   }
   try {
     // Each table is hashed once; the hashes key the profile, pair and
-    // solve memos (and in-run dedup of identical tables). The hashing pass
-    // is charged to the UCC bucket, whose stage it serves.
+    // solve memos (and in-run dedup of identical tables). Without a cache
+    // only budget-admitted tables are hashed. The hashing pass is charged
+    // to the UCC bucket, whose stage it serves.
     Timer hash_timer;
-    std::vector<uint64_t> table_hashes(tables.size());
-    ParallelFor(
-        tables.size(),
-        [&](size_t i) { table_hashes[i] = TableContentHash(tables[i]); },
+    const bool cached =
+        options.cache != nullptr || options.candidates.cache != nullptr;
+    const std::vector<uint64_t> table_hashes = HashTables(
+        tables, ctx, /*admitted_only=*/!cached,
         options.candidates.threads != 0 ? options.candidates.threads
                                         : options.threads);
     const double hash_seconds = hash_timer.Seconds();

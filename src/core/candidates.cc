@@ -202,12 +202,28 @@ uint64_t CandidateOptionsFingerprint(const CandidateGenOptions& c) {
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options,
                                 const RunContext* ctx) {
-  std::vector<uint64_t> hashes(tables.size());
+  return GenerateCandidates(
+      tables,
+      HashTables(tables, ctx, /*admitted_only=*/options.cache == nullptr,
+                 options.threads),
+      options, ctx, /*schema_only=*/false);
+}
+
+std::vector<uint64_t> HashTables(const std::vector<Table>& tables,
+                                 const RunContext* ctx, bool admitted_only,
+                                 int threads) {
+  std::vector<uint64_t> hashes(tables.size(), 0);
   ParallelFor(
-      tables.size(), [&](size_t i) { hashes[i] = TableContentHash(tables[i]); },
-      options.threads);
-  return GenerateCandidates(tables, hashes, options, ctx,
-                            /*schema_only=*/false);
+      tables.size(),
+      [&](size_t i) {
+        if (admitted_only && ctx != nullptr &&
+            OverTableBudget(tables[i], ctx->budgets)) {
+          return;
+        }
+        hashes[i] = TableContentHash(tables[i]);
+      },
+      threads);
+  return hashes;
 }
 
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,

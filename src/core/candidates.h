@@ -109,15 +109,16 @@ struct CandidateSet {
 // ucc_health/ind_health; a null or untripped context yields byte-identical
 // output to a context-free run.
 //
-// This form hashes every table and runs the one below with full-feature
-// scoring (schema_only = false).
+// This form hashes the tables (HashTables; all of them only with
+// options.cache set) and runs the one below with full-feature scoring
+// (schema_only = false).
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options = {},
                                 const RunContext* ctx = nullptr);
 
 // The form the prediction pipeline calls (core/auto_bi.cc).
-// `table_hashes[i]` is TableContentHash(tables[i]), computed once per
-// predict and shared by the profile, pair and solve keys. With
+// `table_hashes[i]` is TableContentHash(tables[i]) (HashTables), computed
+// once per predict and shared by the profile, pair and solve keys. With
 // options.cache set (and ctx not already stopped — a stopped run consults
 // no memo), every unordered table pair is first looked up in the
 // cache's pair memo, serially in index order, under a key of the two
@@ -125,9 +126,8 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
 // candidate options and `schema_only` (which local-model variant the cached
 // scores come from). Hit pairs contribute their cached candidates and
 // scores (memo_scores); only missed pairs are scanned — exactly as an
-// uncached run scans them when every pair missed, else through the global
-// blocking plan when they number at least the table count and pair-locally
-// otherwise (DiscoverIndsForPairs). The candidate list equals an uncached
+// uncached run scans them when every pair missed, pair-locally otherwise
+// (DiscoverIndsForPairs). The candidate list equals an uncached
 // run's. The caller scores the unscored candidates and, if the run stays
 // healthy, publishes the scanned pairs with PublishPairEntries.
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
@@ -185,6 +185,16 @@ uint64_t CandidateOptionsFingerprint(const CandidateGenOptions& options);
 // True when a RunContext row/cell budget excludes `table` from value probing
 // (the admission predicate of GenerateCandidates).
 bool OverTableBudget(const Table& table, const RunContext::Budgets& budgets);
+
+// TableContentHash of each table, in parallel. With `admitted_only`, the
+// tables OverTableBudget excludes under ctx's budgets are not hashed (their
+// slot is 0): an uncached run needs hashes only to dedup admitted tables,
+// and hashing an over-budget table would add the full pass over its bytes
+// that the budget exists to bound. A cached run needs every hash, since
+// the pair and solve keys cover all tables.
+std::vector<uint64_t> HashTables(const std::vector<Table>& tables,
+                                 const RunContext* ctx, bool admitted_only,
+                                 int threads);
 
 }  // namespace autobi
 

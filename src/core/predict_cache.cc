@@ -1,103 +1,39 @@
 #include "core/predict_cache.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/check.h"
 
 namespace autobi {
 
 template <typename T>
-size_t PredictCache::Shard<T>::Probe(uint64_t key) const {
-  const size_t mask = slots_.size() - 1;
-  size_t i = key & mask;
-  while (slots_[i].entry != nullptr && slots_[i].key != key) {
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
-template <typename T>
 std::shared_ptr<const T> PredictCache::Shard<T>::Find(uint64_t key) const {
-  if (!slots_.empty()) {
-    const Slot& slot = slots_[Probe(key)];
-    if (slot.entry != nullptr) {
-      ++hits;
-      return slot.entry;
-    }
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses;
+    return nullptr;
   }
-  ++misses;
-  return nullptr;
+  ++hits;
+  return it->second;
 }
 
 template <typename T>
 size_t PredictCache::Shard<T>::Insert(uint64_t key,
                                       std::shared_ptr<const T> entry,
                                       size_t capacity) {
-  // invariant: a null entry marks a free slot, so it cannot be stored.
-  AUTOBI_CHECK(entry != nullptr);
-  if (!slots_.empty() && slots_[Probe(key)].entry != nullptr) return 0;
+  if (!map_.emplace(key, std::move(entry)).second) return 0;
+  order_.push_back(key);
   size_t evicted = 0;
-  while (capacity > 0 && size_ >= capacity) {
-    Erase(Probe(order_.front()));
+  while (capacity > 0 && map_.size() > capacity) {
+    map_.erase(order_.front());
     order_.pop_front();
     ++evicted;
   }
-  if ((size_ + 1) * 2 > slots_.size()) Grow();
-  Slot& slot = slots_[Probe(key)];
-  slot.key = key;
-  slot.entry = std::move(entry);
-  ++size_;
-  order_.push_back(key);
   return evicted;
 }
 
 template <typename T>
-void PredictCache::Shard<T>::Erase(size_t hole) {
-  // Backward-shift deletion: pull every later entry of the probe run whose
-  // home slot is not cyclically within (hole, j] into the hole, so no probe
-  // run is ever broken and no tombstones are needed.
-  const size_t mask = slots_.size() - 1;
-  for (size_t j = (hole + 1) & mask; slots_[j].entry != nullptr;
-       j = (j + 1) & mask) {
-    const size_t home = slots_[j].key & mask;
-    const bool movable =
-        hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
-    if (movable) {
-      slots_[hole] = std::move(slots_[j]);
-      hole = j;
-    }
-  }
-  slots_[hole].entry.reset();
-  --size_;
-}
-
-template <typename T>
-void PredictCache::Shard<T>::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
-  for (Slot& slot : old) {
-    if (slot.entry != nullptr) slots_[Probe(slot.key)] = std::move(slot);
-  }
-}
-
-template <typename T>
-void PredictCache::Shard<T>::Prefetch(uint64_t key) const {
-  if (!slots_.empty()) {
-    __builtin_prefetch(&slots_[key & (slots_.size() - 1)]);
-  }
-}
-
-template <typename T>
-void PredictCache::Shard<T>::PrefetchOldest(size_t ahead) const {
-  if (ahead < order_.size()) Prefetch(order_[ahead]);
-}
-
-template <typename T>
 void PredictCache::Shard<T>::Clear() {
-  slots_.clear();
+  map_.clear();
   order_.clear();
-  size_ = 0;
 }
 
 std::shared_ptr<const PredictCache::TableEntry> PredictCache::FindTable(
@@ -124,21 +60,12 @@ void PredictCache::InsertSolve(uint64_t key,
   evictions_ += solves_.Insert(key, std::move(entry), options_.max_solve_entries);
 }
 
-// The batched pair calls prefetch this many keys ahead, which overlaps the
-// cache misses of independent probes.
-constexpr size_t kPrefetchAhead = 8;
-
 std::vector<std::shared_ptr<const PredictCache::PairEntry>>
 PredictCache::FindPairs(const std::vector<uint64_t>& keys) const {
   std::vector<std::shared_ptr<const PairEntry>> out;
   out.reserve(keys.size());
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t k = 0; k < keys.size(); ++k) {
-    if (k + kPrefetchAhead < keys.size()) {
-      pairs_.Prefetch(keys[k + kPrefetchAhead]);
-    }
-    out.push_back(pairs_.Find(keys[k]));
-  }
+  for (uint64_t key : keys) out.push_back(pairs_.Find(key));
   return out;
 }
 
@@ -147,13 +74,8 @@ void PredictCache::InsertPairs(
         entries) {
   const size_t capacity = 16 * options_.max_table_entries;
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t k = 0; k < entries.size(); ++k) {
-    if (k + kPrefetchAhead < entries.size()) {
-      pairs_.Prefetch(entries[k + kPrefetchAhead].first);
-      pairs_.PrefetchOldest(kPrefetchAhead);
-    }
-    evictions_ +=
-        pairs_.Insert(entries[k].first, std::move(entries[k].second), capacity);
+  for (auto& [key, entry] : entries) {
+    evictions_ += pairs_.Insert(key, std::move(entry), capacity);
   }
 }
 

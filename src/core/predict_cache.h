@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -135,11 +136,7 @@ class PredictCache {
   void Clear();
 
  private:
-  // One memo: an open-addressing (linear probing) map from key to entry
-  // plus the FIFO queue of its keys. Keys are SplitMix64 outputs, so their
-  // low bits index the slots directly; a flat slot array keeps a probe to
-  // about one cache line and lets the batched pair calls prefetch the slots
-  // of the keys ahead — a cold 250-table predict touches 31k pair keys.
+  // One memo: a map from key to entry plus the FIFO queue of its keys.
   template <typename T>
   class Shard {
    public:
@@ -150,29 +147,15 @@ class PredictCache {
     // `capacity` (0 = unbounded). Returns the number evicted.
     size_t Insert(uint64_t key, std::shared_ptr<const T> entry,
                   size_t capacity);
-    // Prefetches the home slot of `key`, or of the key `ahead` places from
-    // the front of the eviction queue.
-    void Prefetch(uint64_t key) const;
-    void PrefetchOldest(size_t ahead) const;
-    size_t size() const { return size_; }
+    size_t size() const { return map_.size(); }
     void Clear();
 
     mutable size_t hits = 0;
     mutable size_t misses = 0;
 
    private:
-    struct Slot {
-      uint64_t key = 0;
-      std::shared_ptr<const T> entry;  // Null: the slot is free.
-    };
-    // The slot holding `key`, or the free slot that ends its probe run.
-    size_t Probe(uint64_t key) const;
-    void Erase(size_t slot);
-    void Grow();
-
-    std::vector<Slot> slots_;  // Empty or a power of two, at most half full.
-    std::deque<uint64_t> order_;  // Every key once, oldest first.
-    size_t size_ = 0;
+    std::unordered_map<uint64_t, std::shared_ptr<const T>> map_;
+    std::deque<uint64_t> order_;  // Every key in map_ once, oldest first.
   };
 
   Options options_;

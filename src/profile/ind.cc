@@ -333,15 +333,7 @@ std::vector<Ind> DiscoverIndsImpl(
   if (cache == nullptr) cache = &local_cache;
   size_t builds_before = cache->builds();
   int n = static_cast<int>(tables.size());
-  auto in_subset = [subset](int ti, int tj) {
-    return subset == nullptr ||
-           std::binary_search(subset->begin(), subset->end(),
-                              std::make_pair(std::min(ti, tj),
-                                             std::max(ti, tj)));
-  };
-  const bool global_plan =
-      options.blocking.enabled &&
-      (subset == nullptr || subset->size() >= tables.size());
+  const bool global_plan = options.blocking.enabled && subset == nullptr;
   IndStats total;
   std::vector<std::pair<int, int>> pairs;
   std::vector<const PairBlocking*> pair_blocking;
@@ -352,12 +344,12 @@ std::vector<Ind> DiscoverIndsImpl(
     pairs.reserve(plan.size());
     pair_blocking.reserve(plan.size());
     for (const auto& [key, admission] : plan) {
-      if (!in_subset(key.first, key.second)) continue;
       pairs.push_back(key);
       pair_blocking.push_back(&admission);
     }
   } else if (subset != nullptr) {
-    // Exhaustive or pair-local admission over the listed pairs only.
+    // Only the listed pairs, each admitting its column pairs locally
+    // (ComputePairBlocking inside ScanTablePair) when blocking is enabled.
     for (const auto& [i, j] : *subset) {
       pairs.emplace_back(i, j);
       pairs.emplace_back(j, i);

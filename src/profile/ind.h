@@ -201,12 +201,10 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
 // ascending): both orientations of each listed pair are scanned, in
 // DiscoverInds' ti-major order, and nothing else. This is how the
 // prediction pipeline re-scans only the pairs its pair memo missed
-// (core/predict_cache.h). A list with at least as many pairs as there are
-// tables takes its admissions from one global BuildBlockingPlan (whose
-// counters land in stats->blocking); a shorter one — the pairs touching a
-// few changed tables — recomputes each pair's admission locally
-// (ComputePairBlocking), which costs less than indexing every table. Both
-// admit exactly the same column pairs.
+// (core/predict_cache.h). Each listed pair's admission is recomputed
+// locally (ComputePairBlocking) instead of indexing every table through
+// BuildBlockingPlan; both admit exactly the same column pairs, and
+// stats->blocking counts the listed pairs' admissions only.
 std::vector<Ind> DiscoverIndsForPairs(
     const std::vector<Table>& tables, const std::vector<TableProfile>& profiles,
     const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,

@@ -22,10 +22,12 @@
 #include "common/run_context.h"
 #include "common/strings.h"
 #include "core/auto_bi.h"
+#include "core/candidates.h"
 #include "core/model_export.h"
 #include "core/predict_cache.h"
 #include "core/trainer.h"
 #include "fuzz/faultpoints.h"
+#include "profile/sketch.h"
 #include "synth/bi_generator.h"
 #include "synth/corpus.h"
 #include "table/table.h"
@@ -393,6 +395,40 @@ TEST(MemoTest, OptionsBudgetsAndModeNeverServeAStalePair) {
   EXPECT_TRUE(truncated->degradation.ind.degraded);
   EXPECT_EQ(truncated->incremental.pairs_reused, 6u);
   ExpectBitIdentical(*truncated, Uncached(tables, 1, &few_pairs), tables);
+}
+
+TEST(MemoTest, UncachedRunsHashOnlyAdmittedTables) {
+  std::vector<Table> tables = BaseTables();
+  RunContext tiny_rows;
+  tiny_rows.budgets.max_rows_per_table = 100;  // Excludes orders only.
+  // Without a cache an over-budget table is never hashed; with one every
+  // table is, because the pair and solve keys cover them all.
+  const std::vector<uint64_t> admitted =
+      HashTables(tables, &tiny_rows, /*admitted_only=*/true, 2);
+  const std::vector<uint64_t> all =
+      HashTables(tables, &tiny_rows, /*admitted_only=*/false, 2);
+  ASSERT_EQ(admitted.size(), tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    EXPECT_EQ(all[i], TableContentHash(tables[i])) << i;
+    EXPECT_EQ(admitted[i], i == 3 ? 0 : all[i]) << i;
+  }
+
+  // The uncached result under that budget is the same at any thread count
+  // and equals a cached run's, which hashed the over-budget table.
+  const AutoBiResult reference = Uncached(tables, 1, &tiny_rows);
+  ASSERT_TRUE(reference.degradation.ucc.degraded);
+  for (int threads : {2, 8}) {
+    ExpectBitIdentical(Uncached(tables, threads, &tiny_rows), reference,
+                       tables);
+  }
+  PredictCache cache;
+  AutoBiOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  StatusOr<AutoBiResult> cached =
+      AutoBi(&TestModel(), options).Predict(tables, &tiny_rows);
+  ASSERT_TRUE(cached.ok());
+  ExpectBitIdentical(*cached, reference, tables);
 }
 
 TEST(MemoTest, DegradedRunsPublishNoPair) {

@@ -11,8 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -20,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/auto_bi.h"
 #include "core/candidates.h"
 #include "core/predict_cache.h"
@@ -213,41 +210,6 @@ TEST(PredictCacheTest, FifoEvictionOverThreeTimesCapacity) {
   EXPECT_EQ(stats.pair_hits, 1u);
   EXPECT_EQ(stats.pair_misses, 2u);
   EXPECT_EQ(stats.evictions, 2 * kCapacity + 1 + 2 * 16 * kCapacity);
-}
-
-TEST(PredictCacheTest, ShardMatchesAReferenceFifoMapUnderCollidingKeys) {
-  // The low bits of a key pick its home slot. These keys take only four
-  // low-bit values, all next to the end of the slot array at any table
-  // size up to 128 slots, so they pile into long probe runs that wrap
-  // around, and every insert, eviction and lookup exercises run-preserving
-  // deletion. The reference is std::map + deque.
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    PredictCache::Options options;
-    options.max_table_entries = 1 + rng.NextBelow(40);
-    PredictCache cache(options);
-    std::map<uint64_t, std::shared_ptr<const PredictCache::TableEntry>> ref;
-    std::deque<uint64_t> order;
-    for (int op = 0; op < 5000; ++op) {
-      const uint64_t key = (rng.NextBelow(200) << 20) | (127 - rng.NextBelow(4));
-      if (rng.NextBool(0.5)) {
-        auto entry = std::make_shared<PredictCache::TableEntry>();
-        cache.InsertTable(key, entry);
-        if (ref.emplace(key, entry).second) {
-          order.push_back(key);
-          if (ref.size() > options.max_table_entries) {
-            ref.erase(order.front());
-            order.pop_front();
-          }
-        }
-      } else {
-        auto it = ref.find(key);
-        ASSERT_EQ(cache.FindTable(key), it == ref.end() ? nullptr : it->second)
-            << "seed " << seed << " op " << op;
-      }
-    }
-    EXPECT_EQ(cache.GetStats().table_entries, ref.size());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,14 @@
 //   3. KMV pre-screen hit-rate and DiscoverInds end-to-end with the screen
 //      on vs off, on REAL-style synthetic cases.
 //   4. TPC-H via the SQL-DDL path (synth/tpch_ddl.h): full-table profiling
-//      and UCC discovery, hash-first vs legacy kernels, on a recognizable
-//      8-table snowflake with a composite key.
+//      and UCC discovery, production vs legacy kernels (the UCC oracle is
+//      the string-set lattice of tests/oracles/ucc_oracle.h), on a
+//      recognizable 8-table snowflake with a composite key.
+//   5. UCC discovery on scale-10 DDL TPC-H, cold and after a 2%
+//      duplicated-row self-append: stripped-partition DiscoverUccs vs the
+//      frozen hash-sort oracle lattice (tpch10_ucc_ms,
+//      tpch10_appended_ucc_ms and their _oracle_ms rows; FATAL if the UCC
+//      lists differ).
 //
 // Usage: bench_micro_profile [--json]
 //   --json   emit a single machine-readable JSON object on stdout (consumed
@@ -34,6 +40,7 @@
 #include "synth/tpch_ddl.h"
 #include "table/key_view.h"
 #include "table/table.h"
+#include "tests/oracles/ucc_oracle.h"
 
 namespace autobi {
 namespace {
@@ -297,12 +304,11 @@ int main(int argc, char** argv) {
   }
   double tpch_ucc_ms = tpch_ucc_timer.Millis();
   size_t tpch_uccs_legacy = 0;
-  UccOptions legacy_opt;
-  legacy_opt.legacy_kernel = true;
   Timer tpch_ucc_legacy_timer;
   for (size_t t = 0; t < tpch->tables.size(); ++t) {
-    tpch_uccs_legacy +=
-        DiscoverUccs(tpch->tables[t], tpch_profiles[t], legacy_opt).size();
+    tpch_uccs_legacy += DiscoverUccsOracle(tpch->tables[t], tpch_profiles[t],
+                                           {}, UccOracleKernel::kStringSet)
+                            .size();
   }
   double tpch_ucc_legacy_ms = tpch_ucc_legacy_timer.Millis();
   if (tpch_uccs_new != tpch_uccs_legacy) {
@@ -315,6 +321,71 @@ int main(int argc, char** argv) {
   add("tpch_ucc_ms", tpch_ucc_ms, "ms");
   add("tpch_ucc_legacy_ms", tpch_ucc_legacy_ms, "ms");
   add("tpch_ucc_speedup", tpch_ucc_legacy_ms / tpch_ucc_ms, "x");
+
+  // --- 5. UCC discovery on scale-10 DDL TPC-H (the end-to-end benchmark's
+  // tables), cold and after its 2% duplicated-row self-append of lineitem:
+  // stripped-partition DiscoverUccs vs the frozen hash-sort oracle lattice,
+  // both over prebuilt key views, best of 3 runs each. A differing UCC list
+  // is FATAL.
+  Rng tpch10_rng(101);
+  StatusOr<BiCase> tpch10 = GenerateTpchFromDdl(/*scale=*/10.0, tpch10_rng);
+  if (!tpch10.ok()) {
+    std::fprintf(stderr, "FATAL: TPC-H DDL generation failed: %s\n",
+                 tpch10.status().message().c_str());
+    return 1;
+  }
+  std::vector<Table> appended = tpch10->tables;
+  AppendDuplicatedRows(&appended.back());  // lineitem, the largest table.
+  struct UccRow {
+    const char* name;
+    const char* oracle_name;
+    const std::vector<Table>* tables;
+  };
+  for (const UccRow& row :
+       {UccRow{"tpch10_ucc_ms", "tpch10_ucc_oracle_ms", &tpch10->tables},
+        UccRow{"tpch10_appended_ucc_ms", "tpch10_appended_ucc_oracle_ms",
+               &appended}}) {
+    const std::vector<Table>* tables = row.tables;
+    std::vector<TableProfile> profiles =
+        ProfileTables(*tables, /*max_sample=*/512, /*threads=*/1);
+    std::vector<TableKeyView> views(tables->begin(), tables->end());
+    auto best_ms = [&](bool oracle, std::string* uccs) {
+      double best = 0.0;
+      std::vector<std::vector<Ucc>> found(tables->size());
+      for (int rep = 0; rep < 3; ++rep) {
+        Timer timer;
+        for (size_t t = 0; t < tables->size(); ++t) {
+          found[t] =
+              oracle ? DiscoverUccsOracle((*tables)[t], profiles[t], {},
+                                          UccOracleKernel::kHashSort,
+                                          &views[t])
+                     : DiscoverUccs((*tables)[t], profiles[t], {}, &views[t]);
+        }
+        double ms = timer.Millis();
+        if (rep == 0 || ms < best) best = ms;
+      }
+      uccs->clear();
+      for (size_t t = 0; t < found.size(); ++t) {
+        for (const Ucc& u : found[t]) {
+          *uccs += StrFormat("%zu:", t);
+          for (int c : u.columns) *uccs += StrFormat("%d,", c);
+          *uccs += ";";
+        }
+      }
+      return best;
+    };
+    std::string got;
+    std::string want;
+    double ms = best_ms(/*oracle=*/false, &got);
+    double oracle_ms = best_ms(/*oracle=*/true, &want);
+    if (got != want) {
+      std::fprintf(stderr, "FATAL: %s: UCC lists differ from the hash-sort "
+                   "oracle lattice\n", row.name);
+      return 1;
+    }
+    add(row.name, ms, "ms");
+    add(row.oracle_name, oracle_ms, "ms");
+  }
 
   if (json) {
     std::printf("{\n  \"bench\": \"bench_micro_profile\",\n");

@@ -27,6 +27,8 @@
 #
 # PR 7 guard (still enforced): profile_column_100k_rows must come in at or
 # under 7.5 ms (>= 3x over the 22.4 ms string-map kernel of BENCH_pr5/pr6).
+# UCC guard: tpch10_ucc_ms and tpch10_appended_ucc_ms must each be >= 5x
+# faster than the hash-sort oracle lattice measured beside them.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]     (default: build-bench)
 # Scale knobs (see DESIGN.md §3): AUTOBI_REAL_CASES (default 2 here — smoke,
@@ -61,6 +63,31 @@ if ! awk -v ms="$PROFILE_MS" 'BEGIN { exit !(ms <= 7.5) }'; then
        "exceeds the 7.5 ms (>= 3x) PR 7 budget" >&2
   exit 1
 fi
+
+# Stripped-partition UCC gate: on scale-10 DDL TPC-H, cold and after the
+# 2% duplicated-row append, DiscoverUccs must be >= 5x faster than the
+# frozen hash-sort oracle lattice timed in the same run (a fixed algorithm,
+# so the denominator cannot drift). The binary FATALs if the UCC lists
+# differ.
+micro_value() {
+  awk -v key="\"$1\":" -F'"value": ' '
+    index($0, key) { split($2, a, ","); print a[1]; exit }
+    ' <<< "$MICRO_JSON"
+}
+for ROW in tpch10_ucc tpch10_appended_ucc; do
+  ROW_MS="$(micro_value "${ROW}_ms")"
+  ORACLE_MS="$(micro_value "${ROW}_oracle_ms")"
+  if [[ -z "$ROW_MS" || -z "$ORACLE_MS" ]]; then
+    echo "bench_smoke: FAILED to parse ${ROW}_ms / ${ROW}_oracle_ms" >&2
+    exit 1
+  fi
+  if ! awk -v ms="$ROW_MS" -v oracle="$ORACLE_MS" \
+       'BEGIN { exit !(ms > 0 && oracle >= 5.0 * ms) }'; then
+    echo "bench_smoke: FAILED — ${ROW}_ms = ${ROW_MS} ms is not >= 5x" \
+         "faster than the ${ORACLE_MS} ms hash-sort oracle lattice" >&2
+    exit 1
+  fi
+done
 
 echo "bench_smoke: running bench_fig6_kmcacc --json (solver comparison)..." >&2
 SOLVER_JSON="$("$BUILD_DIR/bench/bench_fig6_kmcacc" --json)"

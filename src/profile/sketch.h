@@ -119,10 +119,10 @@ uint64_t TablesContentHashFromHashes(const std::vector<uint64_t>& table_hashes);
 
 // Streaming hash of the composite tuple of `columns` at row r. Byte-for-byte
 // equivalent to StableHash64 of the escaped rendering "v1|v2|...|" with '|'
-// and '\' backslash-escaped inside values (the TupleKey convention of
-// profile/ucc.cc), but never materializes the concatenated string. Returns
-// false if any cell is null (null-containing tuples do not participate in
-// composite containment, matching SQL key semantics).
+// and '\' backslash-escaped inside values, but never materializes the
+// concatenated string. Returns false if any cell is null (null-containing
+// tuples do not participate in composite containment, matching SQL key
+// semantics).
 bool TupleHash(const Table& table, const std::vector<int>& columns, size_t r,
                uint64_t* out, std::string* scratch);
 

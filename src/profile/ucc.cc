@@ -1,142 +1,211 @@
 #include "profile/ucc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <unordered_set>
+#include <numeric>
 
 namespace autobi {
 
 namespace {
 
-// Concatenates the canonical keys of `columns` at row r with an unambiguous
-// separator. Returns false if any cell is null. (Legacy-kernel helper; the
-// hash-first kernel streams the same bytes through TupleHashFromViews.)
-bool TupleKey(const Table& table, const std::vector<int>& columns, size_t r,
-              std::string* out) {
-  out->clear();
-  std::string cell;
-  for (int c : columns) {
-    if (!table.column(static_cast<size_t>(c)).KeyAt(r, &cell)) return false;
-    // Escape the separator so ("a|b","c") != ("a","b|c").
-    for (char ch : cell) {
-      if (ch == '|' || ch == '\\') out->push_back('\\');
-      out->push_back(ch);
-    }
-    out->push_back('|');
-  }
-  return true;
-}
+constexpr uint32_t kNullId = UINT32_MAX;
 
 bool IsSubset(const std::vector<int>& small, const std::vector<int>& big) {
   // Both sorted.
   return std::includes(big.begin(), big.end(), small.begin(), small.end());
 }
 
-// Lazily-built per-column key views for the lattice scan. A prebuilt table
-// view is used directly; otherwise a column's view is built on first touch,
-// so only columns that actually reach an arity >= 2 candidate pay for
-// materialization.
-class LazyViews {
+// Exact dense value ids of one column: ids[r] in [0, num_values) numbers the
+// distinct canonical keys in first-occurrence order; null cells get kNullId.
+struct ValueIds {
+  std::vector<uint32_t> ids;
+  uint32_t num_values = 0;
+};
+
+// One pass over the view through an open-addressing table keyed by the cell
+// hashes. A hash match counts only if the key bytes match too, so two keys
+// that collide in 64 bits still get different ids.
+ValueIds BuildValueIds(const ColumnKeyView& view) {
+  struct Slot {
+    uint32_t first_row;
+    uint32_t id;  // kNullId marks an empty slot.
+  };
+  ValueIds out;
+  out.ids.assign(view.size(), kNullId);
+  size_t cap = 16;
+  while (cap * 4 < view.num_non_null() * 5) cap <<= 1;
+  const int shift = 64 - std::countr_zero(cap);
+  std::vector<Slot> slots(cap, Slot{0, kNullId});
+  for (size_t r = 0; r < view.size(); ++r) {
+    if (view.IsNull(r)) continue;
+    const uint64_t h = view.hash(r);
+    size_t idx = (h * 0x9E3779B97F4A7C15ULL) >> shift;
+    while (true) {
+      Slot& s = slots[idx];
+      if (s.id == kNullId) {
+        s = Slot{static_cast<uint32_t>(r), out.num_values++};
+        out.ids[r] = s.id;
+        break;
+      }
+      if (view.hash(s.first_row) == h && view.key(r) == view.key(s.first_row)) {
+        out.ids[r] = s.id;
+        break;
+      }
+      idx = (idx + 1) & (cap - 1);
+    }
+  }
+  return out;
+}
+
+// A stripped partition of a column set: the groups of >= 2 rows that are
+// non-null in every column of the set and agree on all of them. Singleton
+// classes are dropped, so the set has a duplicate iff a group exists.
+struct Partition {
+  std::vector<uint32_t> rows;  // Group members, group after group.
+  std::vector<uint32_t> ends;  // End offset of each group in `rows`.
+};
+
+// Candidate checks of one table's lattice walk. It holds the value ids of
+// the columns the walk has touched and the partitions of the current base's
+// prefixes ({}, {b0}, {b0,b1}, ...): consecutive bases of a level share
+// their prefixes, so moving to the next base re-derives only the groups
+// past the common prefix. Extra memory is O(rows x touched columns).
+class PartitionChecker {
  public:
-  LazyViews(const Table& table, const TableKeyView* prebuilt)
-      : table_(table), prebuilt_(prebuilt) {
-    if (prebuilt_ == nullptr) own_.resize(table.num_columns());
+  PartitionChecker(const Table& table, const TableKeyView* view)
+      : table_(table), view_(view), ids_(table.num_columns()), prefix_(1) {
+    // The empty set's partition: one group holding every row.
+    prefix_[0].rows.resize(table.num_rows());
+    std::iota(prefix_[0].rows.begin(), prefix_[0].rows.end(), 0u);
+    prefix_[0].ends.push_back(static_cast<uint32_t>(table.num_rows()));
   }
 
-  const ColumnKeyView& Get(int c) {
-    if (prebuilt_ != nullptr) return prebuilt_->column(static_cast<size_t>(c));
-    auto& slot = own_[static_cast<size_t>(c)];
-    if (slot == nullptr) {
-      slot = std::make_unique<ColumnKeyView>(
-          table_.column(static_cast<size_t>(c)));
-    }
-    return *slot;
+  // True iff `cand` is unique: splitting the groups of its base (all but
+  // the last column) by the last column's ids leaves no group of size >= 2,
+  // and at least one row is non-null in every column of `cand`.
+  bool IsUnique(const std::vector<int>& cand) {
+    const size_t base_size = cand.size() - 1;
+    DeriveBase(cand, base_size);
+    if (HasDuplicate(prefix_[base_size], Ids(cand.back()))) return false;
+    return HasNullFreeRow(cand);
   }
 
  private:
-  const Table& table_;
-  const TableKeyView* prebuilt_;
-  std::vector<std::unique_ptr<ColumnKeyView>> own_;
-};
-
-// The hash-first uniqueness kernel over prebuilt views: radix-sort the
-// non-null-complete (tuple hash, row) pairs, then scan equal-hash runs. Any
-// two rows in a run with equal pooled tuples are a true duplicate; unequal
-// tuples in a run are a 64-bit collision and do not break uniqueness.
-bool UniqueOverViews(const std::vector<const ColumnKeyView*>& cols,
-                     size_t rows) {
-  // thread_local so the lattice scan (many candidate combinations over the
-  // same small table) does not pay a malloc per candidate; both buffers are
-  // fully rewritten before being read in each call.
-  static thread_local std::vector<HashRow> hr;
-  static thread_local std::vector<HashRow> scratch;
-  hr.clear();
-  hr.reserve(rows);
-  uint64_t h = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (TupleHashFromViews(cols, r, &h)) {
-      hr.push_back(HashRow{h, static_cast<uint32_t>(r)});
-    }
-  }
-  if (hr.empty()) return false;
-  StableRadixSortByHash(&hr, &scratch);
-  for (size_t i = 0; i < hr.size();) {
-    size_t j = i + 1;
-    while (j < hr.size() && hr[j].hash == hr[i].hash) ++j;
-    if (j - i > 1) {
-      for (size_t x = i; x < j; ++x) {
-        for (size_t y = x + 1; y < j; ++y) {
-          if (TuplesEqual(cols, hr[x].row, hr[y].row)) return false;
-        }
+  const ValueIds& Ids(int c) {
+    const size_t i = static_cast<size_t>(c);
+    if (ids_[i].ids.empty()) {  // Not built yet (the table has rows).
+      ids_[i] = view_ != nullptr
+                    ? BuildValueIds(view_->column(i))
+                    : BuildValueIds(ColumnKeyView(table_.column(i)));
+      if (ids_[i].num_values > count_.size()) {
+        count_.resize(ids_[i].num_values, 0);
+        start_.resize(ids_[i].num_values, 0);
+        mark_.resize(ids_[i].num_values, 0);
       }
     }
-    i = j;
+    return ids_[i];
   }
-  return true;
-}
+
+  // Makes prefix_[j] the partition of cand[0..j) for every j <= size.
+  void DeriveBase(const std::vector<int>& cand, size_t size) {
+    size_t keep = 0;
+    while (keep < prefix_cols_.size() && keep < size &&
+           prefix_cols_[keep] == cand[keep]) {
+      ++keep;
+    }
+    prefix_cols_.resize(keep);
+    if (prefix_.size() < size + 1) prefix_.resize(size + 1);
+    for (size_t j = keep; j < size; ++j) {
+      Refine(prefix_[j], Ids(cand[j]), &prefix_[j + 1]);
+      prefix_cols_.push_back(cand[j]);
+    }
+  }
+
+  // Splits every group of `in` by the ids of `v`, keeping the pieces of
+  // size >= 2 (rows null in `v` leave the partition).
+  void Refine(const Partition& in, const ValueIds& v, Partition* out) {
+    out->rows.clear();
+    out->ends.clear();
+    uint32_t begin = 0;
+    for (uint32_t end : in.ends) {
+      touched_.clear();
+      for (uint32_t k = begin; k < end; ++k) {
+        const uint32_t id = v.ids[in.rows[k]];
+        if (id != kNullId && count_[id]++ == 0) touched_.push_back(id);
+      }
+      uint32_t pos = static_cast<uint32_t>(out->rows.size());
+      const uint32_t first = pos;
+      for (uint32_t id : touched_) {
+        if (count_[id] >= 2) {
+          start_[id] = pos;
+          pos += count_[id];
+          out->ends.push_back(pos);
+        }
+      }
+      if (pos != first) {
+        out->rows.resize(pos);
+        for (uint32_t k = begin; k < end; ++k) {
+          const uint32_t r = in.rows[k];
+          const uint32_t id = v.ids[r];
+          if (id != kNullId && count_[id] >= 2) out->rows[start_[id]++] = r;
+        }
+      }
+      for (uint32_t id : touched_) count_[id] = 0;
+      begin = end;
+    }
+  }
+
+  // True if some group of `in` holds two rows with the same non-null id.
+  bool HasDuplicate(const Partition& in, const ValueIds& v) {
+    uint32_t begin = 0;
+    for (uint32_t end : in.ends) {
+      if (++epoch_ == 0) {  // Wrapped: old marks could alias new epochs.
+        std::fill(mark_.begin(), mark_.end(), 0);
+        epoch_ = 1;
+      }
+      for (uint32_t k = begin; k < end; ++k) {
+        const uint32_t id = v.ids[in.rows[k]];
+        if (id == kNullId) continue;
+        if (mark_[id] == epoch_) return true;
+        mark_[id] = epoch_;
+      }
+      begin = end;
+    }
+    return false;
+  }
+
+  bool HasNullFreeRow(const std::vector<int>& cand) {
+    std::vector<const ValueIds*> cols;
+    for (int c : cand) cols.push_back(&Ids(c));
+    for (size_t r = 0; r < table_.num_rows(); ++r) {
+      bool null_free = true;
+      for (const ValueIds* v : cols) {
+        if (v->ids[r] == kNullId) {
+          null_free = false;
+          break;
+        }
+      }
+      if (null_free) return true;
+    }
+    return false;
+  }
+
+  const Table& table_;
+  const TableKeyView* view_;
+  std::vector<ValueIds> ids_;
+  std::vector<Partition> prefix_;
+  std::vector<int> prefix_cols_;  // prefix_[j + 1] splits prefix_[j] by these.
+  // Per-value scratch sized to the largest id range built so far. count_ is
+  // all zero between calls; mark_ entries never exceed epoch_.
+  std::vector<uint32_t> count_;
+  std::vector<uint32_t> start_;
+  std::vector<uint32_t> mark_;
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> touched_;
+};
 
 }  // namespace
-
-bool IsUniqueCombination(const TableKeyView& view,
-                         const std::vector<int>& columns) {
-  std::vector<const ColumnKeyView*> cols;
-  cols.reserve(columns.size());
-  size_t rows = 0;
-  for (int c : columns) {
-    const ColumnKeyView& cv = view.column(static_cast<size_t>(c));
-    cols.push_back(&cv);
-    rows = cv.size();
-  }
-  return UniqueOverViews(cols, rows);
-}
-
-bool IsUniqueCombination(const Table& table, const std::vector<int>& columns) {
-  std::vector<ColumnKeyView> storage;
-  storage.reserve(columns.size());
-  for (int c : columns) {
-    storage.emplace_back(table.column(static_cast<size_t>(c)));
-  }
-  std::vector<const ColumnKeyView*> cols;
-  cols.reserve(storage.size());
-  for (const ColumnKeyView& v : storage) cols.push_back(&v);
-  return UniqueOverViews(cols, table.num_rows());
-}
-
-bool IsUniqueCombinationLegacy(const Table& table,
-                               const std::vector<int>& columns) {
-  std::unordered_set<std::string> seen;
-  seen.reserve(table.num_rows() * 2);
-  std::string key;
-  size_t non_null_rows = 0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!TupleKey(table, columns, r, &key)) continue;
-    ++non_null_rows;
-    if (!seen.insert(key).second) return false;
-  }
-  return non_null_rows > 0;
-}
 
 std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
                               const UccOptions& options,
@@ -160,7 +229,8 @@ std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
 
   // Higher levels: apriori over non-unique eligible columns; any candidate
   // containing a known UCC is non-minimal and skipped.
-  LazyViews views(table, view);
+  if (eligible.size() < 2 || options.max_arity < 2) return result;
+  PartitionChecker checker(table, view);
   std::vector<std::vector<int>> frontier;
   for (int c : eligible) frontier.push_back({c});
   size_t checks = 0;
@@ -185,7 +255,7 @@ std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
         // Counting prune (pigeonhole): the candidate has at most
         // prod(num_distinct) distinct tuples but at least
         // rows - sum(nulls) non-null-complete rows; fewer possible tuples
-        // than rows forces a duplicate, so the scan can be skipped without
+        // than rows forces a duplicate, so the check can be skipped without
         // changing the result.
         uint64_t max_tuples = 1;
         uint64_t min_tuple_rows = table.num_rows();
@@ -200,17 +270,7 @@ std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
           uint64_t nulls = p.row_count - p.non_null_count;
           min_tuple_rows = nulls >= min_tuple_rows ? 0 : min_tuple_rows - nulls;
         }
-        bool unique;
-        if (max_tuples < min_tuple_rows) {
-          unique = false;
-        } else if (options.legacy_kernel) {
-          unique = IsUniqueCombinationLegacy(table, cand);
-        } else {
-          std::vector<const ColumnKeyView*> cols;
-          cols.reserve(cand.size());
-          for (int cc : cand) cols.push_back(&views.Get(cc));
-          unique = UniqueOverViews(cols, table.num_rows());
-        }
+        bool unique = max_tuples >= min_tuple_rows && checker.IsUnique(cand);
         if (unique) {
           result.push_back(Ucc{cand});
         } else {

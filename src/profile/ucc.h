@@ -23,10 +23,6 @@ struct UccOptions {
   // A column with distinct ratio below this cannot participate in any UCC
   // (pruning heuristic; 0 disables).
   double min_distinct_ratio = 0.05;
-  // Run candidate checks through the legacy string-set kernel
-  // (IsUniqueCombinationLegacy) instead of the hash-first one. Oracle knob
-  // for the kernel-equivalence property tests; production leaves it off.
-  bool legacy_kernel = false;
 };
 
 // One discovered minimal unique column combination.
@@ -37,31 +33,21 @@ struct Ucc {
 // Returns all *minimal* UCCs of `table` up to the option's arity, using a
 // breadth-first lattice search with superset pruning (in the spirit of the
 // IND/UCC discovery literature the paper invokes as a standard step).
-// If `view` is non-null it must be a TableKeyView of `table` and is reused
-// for the candidate checks; otherwise per-column views are built lazily the
-// first time a column appears in an arity >= 2 candidate.
+//
+// A column set is unique iff no two rows that are non-null in every column
+// of the set carry equal values, and at least one such row exists (SQL
+// candidate-key semantics for nullable columns). Candidates are decided by
+// stripped-partition refinement (TANE, Huhtala et al. 1999): each column
+// gets exact dense value ids, a set's partition keeps only its row groups of
+// size >= 2, and base ∪ {c} is decided by splitting base's groups by c's
+// ids, so a check touches only the rows that can still collide.
+//
+// If `view` is non-null it must be a TableKeyView of `table` and supplies
+// the keys the value ids are built from; otherwise per-column views are
+// built lazily the first time a column appears in an arity >= 2 check.
 std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
                               const UccOptions& options = {},
                               const TableKeyView* view = nullptr);
-
-// True if the given column set has no duplicate (non-null-complete) tuples.
-// Rows with a null in any of the columns are skipped, matching the SQL
-// semantics of candidate keys with nullable columns.
-//
-// Hash-first kernel: streams the composite tuple hashes (the TupleHash
-// escape convention of profile/sketch.h), radix-sorts (hash, row) pairs, and
-// scans equal-hash runs — a run of length >= 2 is a duplicate unless the
-// pooled key bytes prove it a 64-bit collision (verify-on-collision keeps
-// the result exact). No per-row string tuple keys, no string set.
-bool IsUniqueCombination(const Table& table, const std::vector<int>& columns);
-bool IsUniqueCombination(const TableKeyView& view,
-                         const std::vector<int>& columns);
-
-// Legacy reference kernel: escaped string tuple keys probed through an
-// unordered_set. Retained as the oracle for the kernel-equivalence property
-// tests (the PR 2/4 pattern); production call sites use the hash-first form.
-bool IsUniqueCombinationLegacy(const Table& table,
-                               const std::vector<int>& columns);
 
 }  // namespace autobi
 

@@ -17,6 +17,11 @@
 namespace autobi {
 
 Status RunStdioServer(ServeEngine* engine) {
+  // The daemon's only stdio traffic is this loop (diagnostics go to stderr
+  // through fprintf), so the C stdio sync and the cin->cout tie are pure
+  // per-character overhead.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   std::string line;
   while (!engine->shutdown_requested() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -35,7 +40,10 @@ namespace {
 // connection unblocks all others immediately, with no polling interval.
 void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
   std::string pending;
-  char buf[4096];
+  // pending[0, scanned) is known to hold no '\n': each read scans only the
+  // new bytes, so framing a long line stays linear in its length.
+  size_t scanned = 0;
+  char buf[64 * 1024];
   while (true) {
     struct pollfd pfds[2];
     pfds[0].fd = fd;
@@ -54,7 +62,7 @@ void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
     if (n <= 0) break;  // EOF or error.
     pending.append(buf, size_t(n));
     size_t start = 0;
-    for (size_t nl = pending.find('\n', start); nl != std::string::npos;
+    for (size_t nl = pending.find('\n', scanned); nl != std::string::npos;
          nl = pending.find('\n', start)) {
       std::string_view line(pending.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
@@ -79,6 +87,7 @@ void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
       }
     }
     pending.erase(0, start);
+    scanned = pending.size();
   }
   ::close(fd);
 }

@@ -226,12 +226,4 @@ bool TupleHashFromViews(const std::vector<const ColumnKeyView*>& cols,
   return true;
 }
 
-bool TuplesEqual(const std::vector<const ColumnKeyView*>& cols, size_t ra,
-                 size_t rb) {
-  for (const ColumnKeyView* view : cols) {
-    if (view->key(ra) != view->key(rb)) return false;
-  }
-  return true;
-}
-
 }  // namespace autobi

@@ -111,17 +111,11 @@ void StableRadixSortByHash(std::vector<HashRow>* items,
 
 // Streamed composite tuple hash of row r over `cols`: byte-for-byte the
 // FNV-1a of the escaped rendering "v1|v2|...|" ('|' and '\' are
-// backslash-escaped inside values — the TupleKey convention of
-// profile/ucc.cc and TupleHash of profile/sketch.h), computed directly from
-// the pooled key bytes. Returns false if any cell is null.
+// backslash-escaped inside values — the TupleHash convention of
+// profile/sketch.h), computed directly from the pooled key bytes. Returns
+// false if any cell is null.
 bool TupleHashFromViews(const std::vector<const ColumnKeyView*>& cols,
                         size_t r, uint64_t* out);
-
-// True if the composite tuples of rows ra and rb are identical (span
-// equality per column). Both rows must be non-null-complete over `cols`;
-// used as the verify-on-collision fallback of the sort-based kernels.
-bool TuplesEqual(const std::vector<const ColumnKeyView*>& cols, size_t ra,
-                 size_t rb);
 
 }  // namespace autobi
 

@@ -27,6 +27,7 @@
 #include "synth/corpus.h"
 #include "synth/tpch_ddl.h"
 #include "table/key_view.h"
+#include "tests/oracles/ucc_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {
@@ -206,20 +207,22 @@ TEST_P(KernelOracleTest, ProfileMatchesLegacyOracle) {
   }
 }
 
-// UCC discovery with the hash-first candidate checks (lazy and prebuilt
-// views) returns exactly the legacy string-set lattice result.
+// UCC discovery (lazy and prebuilt views) returns exactly the string-set
+// lattice result, as does the hash-sort oracle lattice.
 TEST_P(KernelOracleTest, UccsMatchLegacyOracle) {
   Rng rng(GetParam() * 15485863 + 3);
   Table t = RandomTable(rng, "ucc");
   TableProfile profile = ProfileTable(t);
-  UccOptions legacy_opt;
-  legacy_opt.legacy_kernel = true;
-  std::vector<Ucc> legacy = DiscoverUccs(t, profile, legacy_opt);
+  std::vector<Ucc> legacy =
+      DiscoverUccsOracle(t, profile, {}, UccOracleKernel::kStringSet);
   std::vector<Ucc> lazy = DiscoverUccs(t, profile);
   TableKeyView view(t);
   std::vector<Ucc> prebuilt = DiscoverUccs(t, profile, {}, &view);
+  std::vector<Ucc> hash_sort =
+      DiscoverUccsOracle(t, profile, {}, UccOracleKernel::kHashSort, &view);
   EXPECT_EQ(UccsToString(lazy), UccsToString(legacy));
   EXPECT_EQ(UccsToString(prebuilt), UccsToString(legacy));
+  EXPECT_EQ(UccsToString(hash_sort), UccsToString(legacy));
 
   // And the point kernel agrees on every arity-1/2 combination directly.
   for (size_t a = 0; a < t.num_columns(); ++a) {
@@ -267,14 +270,12 @@ TEST_P(KernelOracleTest, IndsMatchLegacyPipeline) {
   std::vector<TableProfile> legacy_profiles;
   std::vector<std::vector<Ucc>> uccs;
   std::vector<std::vector<Ucc>> legacy_uccs;
-  UccOptions legacy_opt;
-  legacy_opt.legacy_kernel = true;
   for (size_t i = 0; i < tables.size(); ++i) {
     legacy_profiles.push_back(ProfileTableLegacy(tables[i]));
     TableKeyView view(tables[i]);
     uccs.push_back(DiscoverUccs(tables[i], profiles[i], {}, &view));
-    legacy_uccs.push_back(
-        DiscoverUccs(tables[i], legacy_profiles[i], legacy_opt));
+    legacy_uccs.push_back(DiscoverUccsOracle(
+        tables[i], legacy_profiles[i], {}, UccOracleKernel::kStringSet));
   }
   for (int threads : {1, 8}) {
     IndOptions opt;
@@ -331,12 +332,10 @@ TEST(KernelOracleEndToEndTest, CorpusAndTpchIdenticalAcrossThreadsAndKernels) {
     // same IND scan must yield the same discovery result.
     std::vector<TableProfile> legacy_profiles;
     std::vector<std::vector<Ucc>> legacy_uccs;
-    UccOptions legacy_opt;
-    legacy_opt.legacy_kernel = true;
     for (const Table& t : tables) {
       legacy_profiles.push_back(ProfileTableLegacy(t));
-      legacy_uccs.push_back(
-          DiscoverUccs(t, legacy_profiles.back(), legacy_opt));
+      legacy_uccs.push_back(DiscoverUccsOracle(
+          t, legacy_profiles.back(), {}, UccOracleKernel::kStringSet));
     }
     for (size_t t = 0; t < tables.size(); ++t) {
       ASSERT_EQ(legacy_profiles[t].columns.size(),

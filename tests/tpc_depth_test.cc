@@ -11,6 +11,7 @@
 #include "core/schema_summary.h"
 #include "profile/ucc.h"
 #include "synth/tpc.h"
+#include "tests/oracles/ucc_oracle.h"
 
 namespace autobi {
 namespace {

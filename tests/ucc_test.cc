@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/oracles/ucc_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {

@@ -2,15 +2,17 @@
 //
 //   1. ProfileColumn cost: hash-first columnar kernel (table/key_view.h +
 //      radix-sorted distinct aggregation) vs the legacy per-cell string-map
-//      kernel (ProfileColumnLegacy), on a 100k-row string column.
+//      kernel (ProfileColumnLegacy, tests/oracles/profile_oracle.h), on a
+//      100k-row string column.
 //   2. Exact unary Containment: legacy string-map implementation (probing
 //      prebuilt maps, i.e. only the cost the historical kernel paid per
 //      probe) vs the sorted-hash merge, on high-cardinality string columns
 //      and on the skewed small-FK-in-big-PK shape where the merge switches
 //      to a galloping search. The skewed shape is asserted to never lose to
 //      the string map (>= 1.0x) — a regression gate, not just a report.
-//   3. KMV pre-screen hit-rate and DiscoverInds end-to-end with the screen
-//      on vs off, on REAL-style synthetic cases.
+//   3. The unary containment kernels over every column pair the IND scan
+//      evaluates, and DiscoverInds end-to-end with blocking on vs off, on
+//      REAL-style synthetic cases.
 //   4. TPC-H via the SQL-DDL path (synth/tpch_ddl.h): full-table profiling
 //      and UCC discovery, production vs legacy kernels (the UCC oracle is
 //      the string-set lattice of tests/oracles/ucc_oracle.h), on a
@@ -40,6 +42,7 @@
 #include "synth/tpch_ddl.h"
 #include "table/key_view.h"
 #include "table/table.h"
+#include "tests/oracles/profile_oracle.h"
 #include "tests/oracles/ucc_oracle.h"
 
 namespace autobi {
@@ -114,17 +117,17 @@ int main(int argc, char** argv) {
   add("profile_column_speedup", profile_legacy_ms / profile_ms, "x");
   if (pfk_legacy.num_distinct != pfk.num_distinct ||
       pfk_legacy.distinct_hashes != pfk.distinct_hashes ||
-      pfk_legacy.distinct_pool != pfk.distinct_pool) {
+      pfk_legacy.distinct_counts != pfk.distinct_counts) {
     std::fprintf(stderr,
                  "FATAL: hash-first profile diverged from the legacy kernel\n");
     return 1;
   }
 
   // --- 2. Unary containment kernels. The legacy timings probe *prebuilt*
-  // string maps, matching what the historical kernel paid per probe (its
-  // maps lived inside the profiles).
-  DistinctKeyMap map_fk = BuildDistinctKeyMap(pfk);
-  DistinctKeyMap map_pk = BuildDistinctKeyMap(ppk);
+  // string maps (built untimed from the columns), matching what the
+  // historical kernel paid per probe (its maps lived inside the profiles).
+  DistinctKeyMap map_fk = BuildDistinctKeyMap(fk);
+  DistinctKeyMap map_pk = BuildDistinctKeyMap(pk);
   constexpr size_t kIters = 20;
   double old_us = TimeUs(kIters, [&] {
     return ContainmentViaStringMap(map_fk, pfk.non_null_count, map_pk);
@@ -138,7 +141,7 @@ int main(int argc, char** argv) {
   // switches to a galloping search over the big side).
   Column small_fk = StringColumn("sfk", 20000, 500, "cust_", 23);
   ColumnProfile psmall = ProfileColumn(small_fk);
-  DistinctKeyMap map_small = BuildDistinctKeyMap(psmall);
+  DistinctKeyMap map_small = BuildDistinctKeyMap(small_fk);
   double old_skew_us = TimeUs(kIters * 10, [&] {
     return ContainmentViaStringMap(map_small, psmall.non_null_count, map_pk);
   });
@@ -157,8 +160,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- 3. KMV screen hit-rate + DiscoverInds end-to-end on REAL-style
-  // cases (serial, so the kernel change is what's measured).
+  // --- 3. Unary kernels + DiscoverInds end-to-end on REAL-style cases
+  // (serial, so the kernel change is what's measured).
   CorpusOptions copt;
   copt.seed = 4242;
   copt.cases_per_bucket = 2;
@@ -181,8 +184,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < real.cases.size(); ++i) {
     maps[i].resize(profiles[i].size());
     for (size_t t = 0; t < profiles[i].size(); ++t) {
-      for (const ColumnProfile& p : profiles[i][t].columns) {
-        maps[i][t].push_back(BuildDistinctKeyMap(p));
+      const Table& table = real.cases[i].tables[t];
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        maps[i][t].push_back(BuildDistinctKeyMap(table.column(c)));
       }
     }
   }

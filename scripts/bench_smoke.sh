@@ -20,10 +20,11 @@
 # (publish_model against a journaled --state_dir engine vs a volatile one;
 # the software journaling overhead must stay under 2x — bench_serve puts
 # the journal on a RAM-backed fs so the ratio tracks the code path, not the
-# CI host's device flush latency), and writes BENCH_pr10.json at the repo
-# root. Each perf-focused PR writes its own BENCH_<pr>.json with the same
-# shape, so the trajectory of the hot kernels accumulates in-repo and
-# regressions are diffable.
+# CI host's device flush latency), and appends one record, stamped with the
+# short commit hash of HEAD, to the JSON array in BENCH.json at the repo
+# root. Earlier records are kept as they are, so the trajectory of the hot
+# kernels accumulates in-repo and regressions are diffable. (The
+# BENCH_pr<N>.json files are the older one-file-per-PR records.)
 #
 # PR 7 guard (still enforced): profile_column_100k_rows must come in at or
 # under 7.5 ms (>= 3x over the 22.4 ms string-map kernel of BENCH_pr5/pr6).
@@ -37,7 +38,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
-OUT="BENCH_pr10.json"
+OUT="BENCH.json"
+COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD_DIR" -j --target bench_micro_profile bench_fig5_latency \
@@ -222,11 +224,11 @@ if [[ -z "${IND:-}" ]]; then
   exit 1
 fi
 
-cat > "$OUT" <<EOF
+RECORD="$BUILD_DIR/bench_record.json"
+cat > "$RECORD" <<EOF
 {
-  "pr": 10,
+  "commit": "$COMMIT",
   "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "note": "crash-safe serving state: bench_serve gains a publish_model durability section (volatile vs journaled --state_dir engine; software journaling overhead gated < 2x, journal on a RAM-backed fs so device flush latency does not skew the ratio); PR 7, PR 8 and PR 9 gates still enforced",
   "real_cases_per_bucket": $AUTOBI_REAL_CASES,
   "lake": $LAKE_JSON,
   "fig5b_auto_bi_mean_seconds": {
@@ -242,6 +244,27 @@ cat > "$OUT" <<EOF
   "micro": $MICRO_JSON
 }
 EOF
-echo "bench_smoke: wrote $OUT (publish journal overhead ${PUBLISH_OVERHEAD}x," \
+
+# Append the record to the array in $OUT (created on the first run). The
+# file is rewritten through a temporary and a rename, so an interrupted run
+# cannot truncate the earlier records; a malformed record fails here.
+python3 - "$OUT" "$RECORD" <<'PY'
+import json
+import os
+import sys
+
+out, record = sys.argv[1], sys.argv[2]
+records = []
+if os.path.exists(out):
+    with open(out) as f:
+        records = json.load(f)
+with open(record) as f:
+    records.append(json.load(f))
+with open(out + ".tmp", "w") as f:
+    json.dump(records, f, indent=2)
+    f.write("\n")
+os.replace(out + ".tmp", out)
+PY
+echo "bench_smoke: appended $COMMIT to $OUT (publish journal overhead ${PUBLISH_OVERHEAD}x," \
      "lake pruning ${LAKE_PRUNING}, admitted-pairs exponent ${LAKE_EXP}," \
      "append_rows incremental speedup ${APPEND_SPEEDUP}x)" >&2

@@ -56,6 +56,13 @@ done < <(grep -oHE '\]\([^)]+\.md[^)]*\)' ./*.md \
 [[ "$docs_fail" == "0" ]] || exit 1
 echo "check.sh: docs lint clean (module map + markdown links)."
 
+# --- Benchmark build (always on): e2ebench/ compiles the library sources
+# of src/ next to its own client, so a src/ API change that breaks the
+# request-path benchmark fails here rather than when the benchmark runs.
+cmake -S e2ebench -B build-e2e > /dev/null
+cmake --build build-e2e -j --target e2e_bench
+echo "check.sh: e2ebench builds (target e2e_bench)."
+
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
   autobi_fuzz_tests
@@ -81,18 +88,23 @@ AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
 echo "check.sh: ThreadSanitizer clean (pipeline + solver determinism)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
-# the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
-# aggregation) must stay bit-identical to the retained legacy string-map
-# oracles on adversarial data, the REAL corpus, and TPC-H-via-DDL, with the
-# arena/offset arithmetic of the key view checked for memory and UB errors.
+# the hash-first profiling/UCC/IND kernels (table/key_view.h + hash-table
+# aggregation) must stay bit-identical to the frozen string-map oracles of
+# tests/oracles/ on adversarial data, the REAL corpus, and TPC-H-via-DDL,
+# with the arena/offset arithmetic of the key view checked for memory and UB
+# errors. The filter's leading '*' also matches the value-parameterized
+# instantiations (Seeds/KernelOracleTest.*, Seeds/IndPropertyTest.*,
+# Seeds/ContainmentEquivalenceTest.*).
 ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
-  autobi_faultfuzz
-UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-  "$ASAN_BUILD_DIR/tests/autobi_profile_ml_tests" \
-  --gtest_filter='KernelOracle*:TpchDdl*'
+  autobi_integration_tests autobi_faultfuzz
+ORACLE_FILTER='*KernelOracle*:TpchDdl*:*Sketch*:*ContainmentEquivalence*:*Ind*'
+for suite in autobi_profile_ml_tests autobi_integration_tests; do
+  UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$ASAN_BUILD_DIR/tests/$suite" --gtest_filter="$ORACLE_FILTER"
+done
 echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
 
 # --- Schema-evolution differential smoke under ASan/UBSan (always on since

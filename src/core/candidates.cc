@@ -40,6 +40,15 @@ uint64_t UccOptionsFingerprint(const UccOptions& ucc) {
   return SplitMix64(h ^ bits);
 }
 
+namespace {
+
+// The deduplicated candidate map of candidate generation, ordered by
+// (src, dst) — std::map iteration order IS the deterministic candidate order
+// the budget truncation and scoring stages see.
+using CandidateMap = std::map<std::pair<ColumnRef, ColumnRef>, JoinCandidate>;
+
+// True when a RunContext row/cell budget excludes `table` from value probing
+// (the admission predicate of GenerateCandidates).
 bool OverTableBudget(const Table& table, const RunContext::Budgets& budgets) {
   if (budgets.max_rows_per_table > 0 &&
       table.num_rows() > budgets.max_rows_per_table) {
@@ -52,6 +61,10 @@ bool OverTableBudget(const Table& table, const RunContext::Budgets& budgets) {
   return false;
 }
 
+// Converts discovered INDs into deduplicated candidates in `dedup`: reverse
+// containment (profile-based for unary, exact probe through
+// `composite_cache` for composite), 1:1 detection + canonical orientation,
+// prefer-1:1 replacement on key collision.
 void AddIndCandidates(const std::vector<Ind>& inds,
                       const std::vector<Table>& tables,
                       const std::vector<TableProfile>& profiles,
@@ -105,6 +118,9 @@ void AddIndCandidates(const std::vector<Ind>& inds,
   }
 }
 
+// Metadata-screened fallback candidates of the ordered pair (ti -> tj), added
+// only when at least one side was not value-probed (probed[t] = table t has
+// rows and was admitted under the RunContext table budgets).
 void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
                                    const std::vector<char>& probed, int ti,
                                    int tj, CandidateMap* dedup) {
@@ -132,8 +148,6 @@ void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
     }
   }
 }
-
-namespace {
 
 // A candidate with its pair-memo score (kUnscoredCandidate: score it).
 struct ScoredCandidate {

@@ -2,8 +2,6 @@
 #define AUTOBI_CORE_CANDIDATES_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "common/run_context.h"
@@ -143,35 +141,6 @@ void PublishPairEntries(const CandidateSet& set,
                         const std::vector<double>& probabilities,
                         PredictCache* cache);
 
-// --- Pair-local building blocks of candidate conversion. Each helper is a
-// pure pair-local function: (src, dst) keys determine the table pair even
-// after 1:1 canonical reorientation, so merging per-pair maps reproduces the
-// full-run dedup map exactly.
-
-// The deduplicated candidate map of candidate generation, ordered by
-// (src, dst) — std::map iteration order IS the deterministic candidate order
-// the budget truncation and scoring stages see.
-using CandidateMap = std::map<std::pair<ColumnRef, ColumnRef>, JoinCandidate>;
-
-// Converts discovered INDs into deduplicated candidates in `dedup`: reverse
-// containment (profile-based for unary, exact probe through
-// `composite_cache` for composite), 1:1 detection + canonical orientation,
-// prefer-1:1 replacement on key collision. Byte-identical to the conversion
-// loop inside GenerateCandidates over the same INDs.
-void AddIndCandidates(const std::vector<Ind>& inds,
-                      const std::vector<Table>& tables,
-                      const std::vector<TableProfile>& profiles,
-                      const CandidateGenOptions& options,
-                      CompositeKeyCache* composite_cache, CandidateMap* dedup);
-
-// Metadata-screened fallback candidates of the ordered pair (ti -> tj), added
-// only when at least one side was not value-probed (probed[t] = table t has
-// rows and was admitted under the RunContext table budgets). No-op when both
-// sides were probed, matching GenerateCandidates' fallback loop.
-void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
-                                   const std::vector<char>& probed, int ti,
-                                   int tj, CandidateMap* dedup);
-
 // Everything profiling depends on besides the table bytes, folded into the
 // profile-cache key so an options change can never serve a stale entry.
 uint64_t UccOptionsFingerprint(const UccOptions& ucc);
@@ -182,16 +151,12 @@ uint64_t UccOptionsFingerprint(const UccOptions& ucc);
 // solve-memo keys.
 uint64_t CandidateOptionsFingerprint(const CandidateGenOptions& options);
 
-// True when a RunContext row/cell budget excludes `table` from value probing
-// (the admission predicate of GenerateCandidates).
-bool OverTableBudget(const Table& table, const RunContext::Budgets& budgets);
-
 // TableContentHash of each table, in parallel. With `admitted_only`, the
-// tables OverTableBudget excludes under ctx's budgets are not hashed (their
-// slot is 0): an uncached run needs hashes only to dedup admitted tables,
-// and hashing an over-budget table would add the full pass over its bytes
-// that the budget exists to bound. A cached run needs every hash, since
-// the pair and solve keys cover all tables.
+// tables a RunContext row/cell budget excludes from value probing are not
+// hashed (their slot is 0): an uncached run needs hashes only to dedup
+// admitted tables, and hashing an over-budget table would add the full pass
+// over its bytes that the budget exists to bound. A cached run needs every
+// hash, since the pair and solve keys cover all tables.
 std::vector<uint64_t> HashTables(const std::vector<Table>& tables,
                                  const RunContext* ctx, bool admitted_only,
                                  int threads);

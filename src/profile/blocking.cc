@@ -25,6 +25,27 @@ bool PostingLess(const Posting& a, const Posting& b) {
          std::tie(b.hash, b.table, b.column);
 }
 
+// Probe material of one dependent column. Exact mode (<= probe_all_below
+// distinct values) carries every distinct hash plus its occurrence count,
+// so admission compares the exact row-weighted containment. Sampled mode
+// carries the two probe classes separately (a hash heavy AND sampled is
+// probed in both). A column with no distinct values builds an empty set
+// and is never admitted (it can satisfy no containment threshold > 0).
+struct ColumnProbeSet {
+  bool exact = false;
+  // Exact: all distinct hashes (ascending). Sampled: the uniform
+  // bottom-under-remix sample, sorted ascending.
+  std::vector<uint64_t> bottom;
+  // Exact only: occurrence counts aligned with `bottom`.
+  std::vector<int64_t> weights;
+  // Exact only: the containment denominator (non-null row count).
+  int64_t total_weight = 0;
+  // Sampled only: top-by-count probes, sorted ascending.
+  std::vector<uint64_t> heavy;
+
+  size_t issued() const { return bottom.size() + heavy.size(); }
+};
+
 // The admission decision from aggregated hit counts. Both evaluation paths
 // (pair-local binary searches, global-index probing) funnel their IDENTICAL
 // integer hit counts through this one function, so the double arithmetic —
@@ -47,8 +68,6 @@ bool AdmitFromHits(const ColumnProbeSet& p, int64_t bottom_hits,
   }
   return false;
 }
-
-}  // namespace
 
 ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
                                  const BlockingOptions& options) {
@@ -108,6 +127,10 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
   return out;
 }
 
+// The pair-local admission predicate: probes `ref_hashes` (a sorted
+// distinct-hash vector) with every probe of `probes` and applies the
+// fraction tests of blocking.h. BuildBlockingPlan evaluates the same
+// arithmetic through the global index.
 bool AdmitColumnPair(const ColumnProbeSet& probes,
                      const std::vector<uint64_t>& ref_hashes,
                      const BlockingOptions& options) {
@@ -129,6 +152,8 @@ bool AdmitColumnPair(const ColumnProbeSet& probes,
   }
   return AdmitFromHits(probes, bottom_hits, heavy_hits, weight_hits, options);
 }
+
+}  // namespace
 
 PairBlocking ComputePairBlocking(const TableProfile& dep,
                                  const TableProfile& ref,

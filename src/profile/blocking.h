@@ -57,10 +57,10 @@ namespace autobi {
 //
 // Determinism contract: the predicate is a pure pair-local function of the
 // two column profiles. BuildBlockingPlan evaluates it through the global
-// index; pair-local ScanTablePair calls (a re-scan of the few table pairs
-// the pair memo missed) recompute it per pair (ComputePairBlocking). Both
-// produce identical admissions by construction, which is what keeps a
-// re-scan byte-identical to a full run with blocking on.
+// index; DiscoverIndsForPairs (a scan of the few table pairs the pair memo
+// missed) evaluates it per pair (ComputePairBlocking). Both produce
+// identical admissions by construction, which is what keeps a partial scan
+// byte-identical to a full run with blocking on.
 struct BlockingOptions {
   // Master switch. false = the exhaustive all-pairs oracle.
   bool enabled = true;
@@ -110,38 +110,6 @@ struct BlockingStats {
            static_cast<double>(column_pairs_total);
   }
 };
-
-// Probe material of one dependent column. Exact mode (<= probe_all_below
-// distinct values) carries every distinct hash plus its occurrence count,
-// so admission compares the exact row-weighted containment. Sampled mode
-// carries the two probe classes separately (a hash heavy AND sampled is
-// probed in both). A column with no distinct values builds an empty set
-// and is never admitted (it can satisfy no containment threshold > 0).
-struct ColumnProbeSet {
-  bool exact = false;
-  // Exact: all distinct hashes (ascending). Sampled: the uniform
-  // bottom-under-remix sample, sorted ascending.
-  std::vector<uint64_t> bottom;
-  // Exact only: occurrence counts aligned with `bottom`.
-  std::vector<int64_t> weights;
-  // Exact only: the containment denominator (non-null row count).
-  int64_t total_weight = 0;
-  // Sampled only: top-by-count probes, sorted ascending.
-  std::vector<uint64_t> heavy;
-
-  size_t issued() const { return bottom.size() + heavy.size(); }
-};
-
-ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
-                                 const BlockingOptions& options);
-
-// The pair-local admission predicate: probes `ref_hashes` (a sorted
-// distinct-hash vector) with every probe of `probes` and applies the
-// fraction tests above. BuildBlockingPlan evaluates the same arithmetic
-// through the global index.
-bool AdmitColumnPair(const ColumnProbeSet& probes,
-                     const std::vector<uint64_t>& ref_hashes,
-                     const BlockingOptions& options);
 
 // Admission of one ordered table pair (dependent ti -> referenced tj):
 // the admitted (dependent column, referenced column) pairs, sorted

@@ -2,9 +2,6 @@
 #define AUTOBI_PROFILE_COLUMN_PROFILE_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "table/key_view.h"
@@ -18,33 +15,26 @@ namespace autobi {
 // end-to-end inference fast (Figure 5).
 //
 // The distinct-value summary is hash-first (see table/key_view.h): the
-// canonical keys are materialized once into an arena-backed pool and
-// aggregated by their stable 64-bit FNV-1a hashes with a radix sort — no
-// per-cell std::string, no per-row string-map operation. The pooled key
-// bytes stay recoverable for the consumers that need the values themselves
-// (the legacy string-map containment oracle, tests, debugging).
+// canonical keys are aggregated by their stable 64-bit FNV-1a hashes in one
+// open-addressed pass — no per-cell std::string, no per-row string-map
+// operation — and only the hashes and counts are kept. Profiles sit in the
+// cross-request caches, so they hold nothing the pipeline does not read.
 struct ColumnProfile {
   ValueType type = ValueType::kNull;
   size_t row_count = 0;
   size_t non_null_count = 0;
-  // Number of distinct canonical keys among non-null cells. Exact (collision
-  // runs in the hash aggregation are verified against the pooled key bytes),
-  // so IsUnique/distinct_ratio match the legacy string-map definition.
+  // Number of distinct canonical keys among non-null cells. Exact (equal
+  // hashes are verified against the key bytes during aggregation), so
+  // IsUnique/distinct_ratio match the string-map definition.
   size_t num_distinct = 0;
   // Hash-sketch view of the distinct values (profile/sketch.h): stable
   // 64-bit FNV-1a hashes of the canonical keys, sorted ascending and
   // strictly increasing (in-column collisions merged), with parallel
   // occurrence counts. Containment runs as a sorted-merge intersection over
-  // these vectors, and the first min(k, n) entries double as the column's
-  // bottom-k KMV sketch.
+  // these vectors; blocking (profile/blocking.h) draws its probes from them
+  // and the EMD feature (profile/emd.h) samples them.
   std::vector<uint64_t> distinct_hashes;
   std::vector<int32_t> distinct_counts;
-  // Pooled canonical key bytes of the distinct values, parallel to
-  // distinct_hashes (for a merged collision run the representative is the
-  // key of the lowest row). distinct_key(i) recovers the i-th distinct value
-  // without any per-value allocation.
-  std::string distinct_pool;
-  std::vector<uint64_t> distinct_offsets;  // distinct_hashes.size() + 1.
   // Distinct / non-null ratio (1.0 == column is a key candidate).
   double distinct_ratio = 0.0;
   // Numeric min/max (valid only if is_numeric).
@@ -53,26 +43,9 @@ struct ColumnProfile {
   double max_value = 0.0;
   // Sorted sample of numeric values, used for distribution features (EMD).
   std::vector<double> sorted_numeric_sample;
-  // Average rendered value length (characters).
+  // Average rendered value length: total canonical key bytes over all
+  // non-null cells / non_null_count.
   double avg_value_length = 0.0;
-  // Exact total canonical key bytes over all non-null cells
-  // (avg_value_length = key_bytes / non_null_count). An integer sum, so
-  // append-only deltas merge it exactly without rescanning old rows.
-  size_t key_bytes = 0;
-  // True 64-bit collision bookkeeping: distinct keys sharing a hash beyond
-  // the run representative, ordered by (hash ascending, first-occurrence row
-  // ascending), the two vectors parallel. Almost always empty; kept so
-  // num_distinct (= distinct_hashes.size() + collision_keys.size()) stays
-  // exact AND mergeable under append-only deltas — a cross-batch collision
-  // is only detectable if the representative keys travel with the profile.
-  std::vector<uint64_t> collision_hashes;
-  std::vector<std::string> collision_keys;
-
-  // Canonical key bytes of the i-th distinct value (hash order).
-  std::string_view distinct_key(size_t i) const {
-    return std::string_view(distinct_pool.data() + distinct_offsets[i],
-                            distinct_offsets[i + 1] - distinct_offsets[i]);
-  }
 
   bool IsUnique() const {
     return non_null_count > 0 && num_distinct == non_null_count;
@@ -93,12 +66,6 @@ struct TableProfile {
 ColumnProfile ProfileColumn(const Column& col, size_t max_sample = 512);
 ColumnProfile ProfileColumn(const Column& col, const ColumnKeyView& view,
                             size_t max_sample = 512);
-
-// Legacy reference kernel: the original per-cell KeyAt + string-map path,
-// producing a bit-identical ColumnProfile. Retained as the oracle for the
-// kernel-equivalence property tests and the old-vs-new micro-benchmark
-// (bench_micro_profile); production call sites use ProfileColumn.
-ColumnProfile ProfileColumnLegacy(const Column& col, size_t max_sample = 512);
 
 // Profiles every column of `table` (optionally through a prebuilt view of
 // the same table).
@@ -130,23 +97,9 @@ std::vector<TableProfile> ProfileTables(const std::vector<Table>& tables,
 // lines instead of full-width binary searches, so they never lose to the
 // legacy string-map kernel. Exact modulo 64-bit FNV collisions between
 // distinct canonical keys (probability ~ n^2 / 2^64; the sketch property
-// tests verify equality with the string-map reference on randomized and
-// corpus data).
+// tests verify equality with the string-map reference of
+// tests/oracles/profile_oracle.h on randomized and corpus data).
 double Containment(const ColumnProfile& a, const ColumnProfile& b);
-
-// The legacy distinct-value map of a profile, materialized from the pooled
-// keys (key -> occurrence count). Oracle/bench scaffolding, not a hot path.
-using DistinctKeyMap = std::unordered_map<std::string, int32_t>;
-DistinctKeyMap BuildDistinctKeyMap(const ColumnProfile& p);
-
-// Legacy reference implementation of Containment over string maps. Retained
-// as the oracle for the sketch property tests and the old-vs-new
-// micro-benchmark; production call sites use Containment. The two-profile
-// convenience form materializes both maps per call; the prebuilt-map form is
-// what the benchmark times (probe cost only, as the historical kernel paid).
-double ContainmentViaStringMap(const ColumnProfile& a, const ColumnProfile& b);
-double ContainmentViaStringMap(const DistinctKeyMap& a, size_t a_non_null,
-                               const DistinctKeyMap& b);
 
 }  // namespace autobi
 

@@ -15,7 +15,7 @@ std::vector<double> HashedSample(const ColumnProfile& p, size_t cap = 512) {
   // sample is just the first min(cap, n) entries mapped into [0, 1): for a
   // column under the cap that is the whole distinct set (as before); above
   // the cap it is the bottom-cap slice — a uniform sample of the distinct
-  // values by the same uniform-hashing argument as the KMV sketch, and
+  // values under a uniform-hashing assumption, and
   // deterministic (the historical truncation took whatever unordered-map
   // iteration order produced). Already sorted, no re-hash, no sort.
   size_t n = std::min(p.distinct_hashes.size(), cap);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "common/parallel.h"
-#include "profile/sketch.h"
 #include "table/key_view.h"
 
 namespace autobi {
@@ -22,8 +20,19 @@ bool RangesDisjoint(const ColumnProfile& a, const ColumnProfile& b) {
   return a.max_value < b.min_value || b.max_value < a.min_value;
 }
 
-}  // namespace
+// Result of scanning one ordered table pair: the INDs found plus the pair's
+// share of the run counters (aggregated serially by DiscoverIndsImpl).
+struct IndPairScan {
+  std::vector<Ind> inds;
+  IndStats stats;
+};
 
+// Scans one ordered table pair (ti -> tj) for unary and composite INDs —
+// the per-pair unit DiscoverIndsImpl fans out. Pure function of its inputs
+// apart from the (internally synchronized) composite-key cache. `blocking`
+// is the pair's entry of the global BuildBlockingPlan; with
+// options.blocking.enabled and no plan entry, the admission is computed
+// here (ComputePairBlocking), which admits the same column pairs.
 IndPairScan ScanTablePair(const std::vector<Table>& tables,
                           const std::vector<TableProfile>& profiles,
                           const std::vector<std::vector<Ucc>>& uccs,
@@ -198,6 +207,8 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   return out;
 }
 
+}  // namespace
+
 std::shared_ptr<const CompositeKeyCache::HashSet> CompositeKeyCache::Get(
     const Table& table, int table_index, const std::vector<int>& columns) {
   std::promise<std::shared_ptr<const HashSet>> promise;
@@ -284,34 +295,6 @@ double CompositeContainment(const Table& ta, const std::vector<int>& ca,
 double CompositeContainment(const Table& ta, const std::vector<int>& ca,
                             const Table& tb, const std::vector<int>& cb) {
   return CompositeContainment(ta, ca, BuildCompositeKeySet(tb, cb));
-}
-
-CompositeKeyCache::HashSet BuildCompositeKeySetLegacy(
-    const Table& table, const std::vector<int>& cols) {
-  CompositeKeyCache::HashSet referenced;
-  referenced.reserve(table.num_rows() * 2);
-  std::string scratch;
-  uint64_t h = 0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (TupleHash(table, cols, r, &h, &scratch)) referenced.insert(h);
-  }
-  return referenced;
-}
-
-double CompositeContainmentLegacy(const Table& ta, const std::vector<int>& ca,
-                                  const Table& tb, const std::vector<int>& cb) {
-  CompositeKeyCache::HashSet referenced = BuildCompositeKeySetLegacy(tb, cb);
-  size_t total = 0;
-  size_t hits = 0;
-  std::string scratch;
-  uint64_t h = 0;
-  for (size_t r = 0; r < ta.num_rows(); ++r) {
-    if (!TupleHash(ta, ca, r, &h, &scratch)) continue;
-    ++total;
-    if (referenced.count(h)) ++hits;
-  }
-  if (total == 0) return 0.0;
-  return static_cast<double>(hits) / static_cast<double>(total);
 }
 
 namespace {

@@ -68,8 +68,8 @@ struct IndStats {
   size_t composite_sets_built = 0;  // Referenced tuple-hash sets constructed.
   size_t composite_budget_truncations = 0;  // Pairs that hit the probe cap.
   // Blocking-plan counters. A run that builds the global plan sets these
-  // once from BuildBlockingPlan; pair-local ScanTablePair calls (no plan)
-  // contribute their own admissions instead.
+  // once from BuildBlockingPlan; DiscoverIndsForPairs, which admits each
+  // listed pair locally, sums those pairs' admissions instead.
   BlockingStats blocking;
 
   void Add(const IndStats& o) {
@@ -130,7 +130,7 @@ CompositeKeyCache::HashSet BuildCompositeKeySet(const Table& table,
 // Row-weighted containment of the composite tuples of (ta, ca) in a
 // prebuilt referenced tuple-hash set: fraction of ta's non-null-complete
 // `ca` tuples (per row) that appear in `referenced`. The view-based overload
-// lets callers (ScanTablePair) reuse dependent-side views across probes.
+// lets the IND scan reuse dependent-side views across probes.
 double CompositeContainment(const Table& ta, const std::vector<int>& ca,
                             const CompositeKeyCache::HashSet& referenced);
 double CompositeContainment(const std::vector<const ColumnKeyView*>& cols,
@@ -141,39 +141,6 @@ double CompositeContainment(const std::vector<const ColumnKeyView*>& cols,
 // prebuilt-set overload (via CompositeKeyCache) on hot paths.
 double CompositeContainment(const Table& ta, const std::vector<int>& ca,
                             const Table& tb, const std::vector<int>& cb);
-
-// Legacy reference kernels: the original per-row KeyAt-based TupleHash path
-// (profile/sketch.h). Retained as oracles for the kernel-equivalence
-// property tests; production call sites use the view-based forms above.
-CompositeKeyCache::HashSet BuildCompositeKeySetLegacy(
-    const Table& table, const std::vector<int>& cols);
-double CompositeContainmentLegacy(const Table& ta, const std::vector<int>& ca,
-                                  const Table& tb, const std::vector<int>& cb);
-
-// Result of scanning one ordered table pair: the INDs found plus the pair's
-// share of the run counters (aggregated serially by DiscoverInds).
-struct IndPairScan {
-  std::vector<Ind> inds;
-  IndStats stats;
-};
-
-// Scans one ordered table pair (ti -> tj) for unary and composite INDs —
-// exactly the per-pair unit DiscoverInds fans out. Pure function of its
-// inputs apart from the (internally synchronized) composite-key cache, so
-// concatenating per-pair results in DiscoverInds' serial pair order
-// reproduces a full scan byte-for-byte.
-//
-// `blocking` is the pair's admission from a precomputed BuildBlockingPlan
-// entry. Callers without a plan leave it null: with
-// options.blocking.enabled the admission is then recomputed pair-locally
-// via ComputePairBlocking — the predicate is a pure function of the two
-// profiles, so the result is identical either way.
-IndPairScan ScanTablePair(const std::vector<Table>& tables,
-                          const std::vector<TableProfile>& profiles,
-                          const std::vector<std::vector<Ucc>>& uccs,
-                          const IndOptions& options, CompositeKeyCache* cache,
-                          int ti, int tj,
-                          const PairBlocking* blocking = nullptr);
 
 // Discovers all approximate INDs between distinct tables of `tables`.
 // `profiles` must come from ProfileTables(tables); `uccs[i]` are the UCCs of

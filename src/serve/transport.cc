@@ -8,7 +8,9 @@
 #include <cerrno>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,21 +18,93 @@
 
 namespace autobi {
 
-Status RunStdioServer(ServeEngine* engine) {
-  // The daemon's only stdio traffic is this loop (diagnostics go to stderr
-  // through fprintf), so the C stdio sync and the cin->cout tie are pure
-  // per-character overhead.
-  std::ios::sync_with_stdio(false);
-  std::cin.tie(nullptr);
-  std::string line;
-  while (!engine->shutdown_requested() && std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    std::cout << engine->HandleLine(line) << "\n" << std::flush;
+namespace {
+
+// Longest request line a transport buffers. An upload's CSV may grow 6x
+// when JSON-escaped (every byte as \u00XX), plus 1 MiB for the rest of the
+// envelope. A max_csv_bytes of 0 (no CSV cap) leaves lines unbounded too.
+size_t MaxLineBytes(const ServeOptions& options) {
+  constexpr size_t kEnvelopeBytes = size_t{1} << 20;
+  constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+  if (options.max_csv_bytes == 0 ||
+      options.max_csv_bytes > (kUnbounded - kEnvelopeBytes) / 6) {
+    return kUnbounded;
   }
-  return Status::Ok();
+  return options.max_csv_bytes * 6 + kEnvelopeBytes;
 }
 
-namespace {
+// Splits a byte stream into request lines and answers each through the
+// engine. A line longer than MaxLineBytes is never buffered whole: it gets
+// one error response as soon as it crosses the cap, and its remaining bytes
+// are dropped up to its newline, after which serving continues.
+class LineFramer {
+ public:
+  explicit LineFramer(ServeEngine* engine)
+      : engine_(engine), max_line_(MaxLineBytes(engine->options())) {}
+
+  // Consumes `n` bytes and passes each response line (without its '\n') to
+  // `emit`, which returns false if the response could not be delivered.
+  // Returns false once `emit` fails or the engine accepts a shutdown.
+  template <typename Emit>
+  bool Feed(const char* data, size_t n, const Emit& emit) {
+    pending_.append(data, n);
+    size_t start = 0;
+    // pending_[0, scanned_) is known to hold no '\n': each call scans only
+    // the new bytes, so framing a long line stays linear in its length.
+    for (size_t nl = pending_.find('\n', scanned_); nl != std::string::npos;
+         nl = pending_.find('\n', start)) {
+      std::string_view line(pending_.data() + start, nl - start);
+      start = nl + 1;
+      if (discarding_) {
+        discarding_ = false;  // The rest of an over-cap line ends here.
+        continue;
+      }
+      if (!Answer(line, emit)) return false;
+    }
+    pending_.erase(0, start);
+    if (discarding_) {
+      pending_.clear();
+    } else if (pending_.size() > max_line_) {
+      pending_.clear();
+      discarding_ = true;
+      if (!emit(OverCapResponse())) return false;
+    }
+    scanned_ = pending_.size();
+    return true;
+  }
+
+  // End of input: answers a final line that had no trailing newline.
+  template <typename Emit>
+  void Finish(const Emit& emit) {
+    if (!discarding_) Answer(pending_, emit);
+  }
+
+ private:
+  template <typename Emit>
+  bool Answer(std::string_view line, const Emit& emit) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) {
+      bool delivered = line.size() > max_line_
+                           ? emit(OverCapResponse())
+                           : emit(engine_->HandleLine(line));
+      if (!delivered) return false;
+    }
+    return !engine_->shutdown_requested();
+  }
+
+  std::string OverCapResponse() const {
+    return MakeErrorResponse(
+               nullptr, Status::ResourceExhausted(StrFormat(
+                            "request line over the %zu-byte cap", max_line_)))
+        .Write();
+  }
+
+  ServeEngine* engine_;
+  const size_t max_line_;
+  std::string pending_;
+  size_t scanned_ = 0;
+  bool discarding_ = false;  // Dropping the tail of an over-cap line.
+};
 
 // Reads buffered lines from `fd`, dispatching each through the engine.
 // Returns on EOF, error, or engine shutdown. `wake_fd` is the read end of
@@ -39,10 +113,17 @@ namespace {
 // readable), waking every blocked poller at once — shutdown accepted on one
 // connection unblocks all others immediately, with no polling interval.
 void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
-  std::string pending;
-  // pending[0, scanned) is known to hold no '\n': each read scans only the
-  // new bytes, so framing a long line stays linear in its length.
-  size_t scanned = 0;
+  auto emit = [fd](std::string response) {
+    response.push_back('\n');
+    size_t off = 0;
+    while (off < response.size()) {
+      ssize_t w = ::write(fd, response.data() + off, response.size() - off);
+      if (w <= 0) return false;
+      off += size_t(w);
+    }
+    return true;
+  };
+  LineFramer framer(engine);
   char buf[64 * 1024];
   while (true) {
     struct pollfd pfds[2];
@@ -60,39 +141,34 @@ void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
     if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n <= 0) break;  // EOF or error.
-    pending.append(buf, size_t(n));
-    size_t start = 0;
-    for (size_t nl = pending.find('\n', scanned); nl != std::string::npos;
-         nl = pending.find('\n', start)) {
-      std::string_view line(pending.data() + start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) {
-        std::string response = engine->HandleLine(line);
-        response.push_back('\n');
-        size_t off = 0;
-        while (off < response.size()) {
-          ssize_t w =
-              ::write(fd, response.data() + off, response.size() - off);
-          if (w <= 0) {
-            ::close(fd);
-            return;
-          }
-          off += size_t(w);
-        }
-      }
-      start = nl + 1;
-      if (engine->shutdown_requested()) {
-        ::close(fd);
-        return;
-      }
-    }
-    pending.erase(0, start);
-    scanned = pending.size();
+    if (!framer.Feed(buf, size_t(n), emit)) break;
   }
   ::close(fd);
 }
 
 }  // namespace
+
+Status RunStdioServer(ServeEngine* engine) {
+  // The daemon's only stdout traffic is this loop (diagnostics go to stderr
+  // through fprintf), so the C stdio sync is pure per-character overhead.
+  std::ios::sync_with_stdio(false);
+  auto emit = [](const std::string& response) {
+    std::cout << response << "\n" << std::flush;
+    return bool(std::cout);
+  };
+  LineFramer framer(engine);
+  char buf[64 * 1024];
+  while (!engine->shutdown_requested()) {
+    ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      framer.Finish(emit);
+      break;
+    }
+    if (!framer.Feed(buf, size_t(n), emit)) break;
+  }
+  return Status::Ok();
+}
 
 Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {

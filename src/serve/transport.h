@@ -11,7 +11,11 @@ namespace autobi {
 // Newline-delimited JSON transports for ServeEngine (POSIX only, no
 // dependencies). Both run until EOF or until the engine accepts a
 // `shutdown` request. Framing: one request per input line, one response
-// per output line; blank lines are ignored.
+// per output line; blank lines are ignored. A line longer than
+// 6 * ServeOptions::max_csv_bytes + 1 MiB (worst-case JSON escaping of a
+// capped CSV upload, plus the envelope) is never buffered whole: it gets
+// one RESOURCE_EXHAUSTED error response as soon as it crosses that bound,
+// its remaining bytes are dropped up to its newline, and serving continues.
 
 // Serves over stdin/stdout — the mode `autobi_serve --stdio` runs in, and
 // the easiest way to drive the daemon from a shell pipeline.

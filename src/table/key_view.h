@@ -111,9 +111,9 @@ void StableRadixSortByHash(std::vector<HashRow>* items,
 
 // Streamed composite tuple hash of row r over `cols`: byte-for-byte the
 // FNV-1a of the escaped rendering "v1|v2|...|" ('|' and '\' are
-// backslash-escaped inside values — the TupleHash convention of
-// profile/sketch.h), computed directly from the pooled key bytes. Returns
-// false if any cell is null.
+// backslash-escaped inside values; tests/oracles/profile_oracle.h keeps the
+// per-row Column::KeyAt form as the oracle), computed directly from the
+// pooled key bytes. Returns false if any cell is null.
 bool TupleHashFromViews(const std::vector<const ColumnKeyView*>& cols,
                         size_t r, uint64_t* out);
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "tests/oracles/profile_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {
@@ -206,32 +207,29 @@ TEST_P(IndPropertyTest, MatchesNaiveReference) {
   opt.max_arity = 1;  // Compare unary only.
   std::vector<Ind> inds = Discover(tables, opt);
 
-  // Naive reference.
-  auto profiles = ProfileTables(tables);
+  // Naive reference, read from the cells through Column::KeyAt: the
+  // distinct-key maps give the filters' distinct counts and the
+  // row-weighted containment of Containment's contract.
   size_t expected = 0;
   for (size_t ti = 0; ti < tables.size(); ++ti) {
     for (size_t tj = 0; tj < tables.size(); ++tj) {
       if (ti == tj) continue;
       for (size_t a = 0; a < tables[ti].num_columns(); ++a) {
+        const Column& ca = tables[ti].column(a);
+        DistinctKeyMap ma = BuildDistinctKeyMap(ca);
+        if (ma.size() < opt.min_distinct || ca.num_non_null() == 0) continue;
         for (size_t bcol = 0; bcol < tables[tj].num_columns(); ++bcol) {
-          const ColumnProfile& pa = profiles[ti].columns[a];
-          const ColumnProfile& pb = profiles[tj].columns[bcol];
-          if (pa.num_distinct < opt.min_distinct) continue;
-          if (pb.non_null_count == 0 ||
-              pb.distinct_ratio < opt.min_referenced_distinct_ratio) {
+          const Column& cb = tables[tj].column(bcol);
+          DistinctKeyMap mb = BuildDistinctKeyMap(cb);
+          if (cb.num_non_null() == 0 ||
+              double(mb.size()) / double(cb.num_non_null()) <
+                  opt.min_referenced_distinct_ratio) {
             continue;
           }
-          if (pa.non_null_count == 0) continue;
-          // Row-weighted reference, matching Containment's contract,
-          // rebuilt from the pooled distinct keys.
-          DistinctKeyMap ma = BuildDistinctKeyMap(pa);
-          DistinctKeyMap mb = BuildDistinctKeyMap(pb);
-          int64_t hits = 0;
-          for (const auto& [key, count] : ma) {
-            if (mb.count(key)) hits += count;
+          if (ContainmentViaStringMap(ma, ca.num_non_null(), mb) >=
+              opt.min_containment) {
+            ++expected;
           }
-          double containment = double(hits) / double(pa.non_null_count);
-          if (containment >= opt.min_containment) ++expected;
         }
       }
     }

@@ -20,10 +20,10 @@ namespace autobi {
 // columns are skipped, matching the SQL semantics of candidate keys with
 // nullable columns.
 //
-// Hash-sort kernel: streams the composite tuple hashes (the TupleHash
-// escape convention of profile/sketch.h), radix-sorts (hash, row) pairs, and
-// scans equal-hash runs — a run of length >= 2 is a duplicate unless the
-// pooled key bytes prove it a 64-bit collision.
+// Hash-sort kernel: streams the composite tuple hashes (TupleHashFromViews
+// of table/key_view.h), radix-sorts (hash, row) pairs, and scans equal-hash
+// runs — a run of length >= 2 is a duplicate unless the pooled key bytes
+// prove it a 64-bit collision.
 bool IsUniqueCombination(const Table& table, const std::vector<int>& columns);
 bool IsUniqueCombination(const TableKeyView& view,
                          const std::vector<int>& columns);

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +24,7 @@
 #include "profile/ind.h"
 #include "profile/ucc.h"
 #include "synth/corpus.h"
+#include "tests/oracles/profile_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {
@@ -62,7 +64,6 @@ TEST(SketchTest, ProfileHashVectorsMirrorDistinctKeys) {
   Column col = RandomColumn(&rng, 200, 0.1);
   ColumnProfile p = ProfileColumn(col);
   ASSERT_EQ(p.distinct_hashes.size(), p.distinct_counts.size());
-  ASSERT_EQ(p.distinct_offsets.size(), p.distinct_hashes.size() + 1);
   // No collisions among the pool values: vector size == exact distinct
   // count, counts sum to the non-null row count, hashes strictly increasing.
   EXPECT_EQ(p.distinct_hashes.size(), p.num_distinct);
@@ -72,9 +73,18 @@ TEST(SketchTest, ProfileHashVectorsMirrorDistinctKeys) {
   for (size_t i = 1; i < p.distinct_hashes.size(); ++i) {
     EXPECT_LT(p.distinct_hashes[i - 1], p.distinct_hashes[i]);
   }
-  // Every pooled distinct key hashes to its own slot.
-  for (size_t i = 0; i < p.distinct_hashes.size(); ++i) {
-    EXPECT_EQ(StableHash64(p.distinct_key(i)), p.distinct_hashes[i]);
+  // Each (hash, count) entry is the hash and occurrence count of one
+  // distinct key of the column, as read back through Column::KeyAt.
+  DistinctKeyMap keys = BuildDistinctKeyMap(col);
+  std::vector<std::pair<uint64_t, int32_t>> expected;
+  for (const auto& [key, count] : keys) {
+    expected.emplace_back(StableHash64(key), count);
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(expected.size(), p.distinct_hashes.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(p.distinct_hashes[i], expected[i].first);
+    EXPECT_EQ(p.distinct_counts[i], expected[i].second);
   }
 }
 
@@ -85,22 +95,23 @@ class ContainmentEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(ContainmentEquivalenceTest, HashMergeEqualsStringMap) {
   Rng rng(GetParam() * 2654435761ULL + 1);
-  std::vector<ColumnProfile> profiles;
+  std::vector<Column> columns;
   for (int i = 0; i < 6; ++i) {
     size_t rows = 1 + rng.NextBelow(300);
-    Column col = RandomColumn(&rng, rows, 0.15);
-    profiles.push_back(ProfileColumn(col));
+    columns.push_back(RandomColumn(&rng, rows, 0.15));
   }
-  // Include an all-null and an empty column.
-  Column empty("e", ValueType::kString);
-  profiles.push_back(ProfileColumn(empty));
+  // Include an empty and an all-null column.
+  columns.emplace_back("e", ValueType::kString);
   Column nulls("n", ValueType::kString);
   for (int i = 0; i < 5; ++i) nulls.AppendNull();
-  profiles.push_back(ProfileColumn(nulls));
+  columns.push_back(nulls);
+  std::vector<ColumnProfile> profiles;
+  for (const Column& col : columns) profiles.push_back(ProfileColumn(col));
 
-  for (const ColumnProfile& a : profiles) {
-    for (const ColumnProfile& b : profiles) {
-      EXPECT_EQ(Containment(a, b), ContainmentViaStringMap(a, b));
+  for (size_t a = 0; a < columns.size(); ++a) {
+    for (size_t b = 0; b < columns.size(); ++b) {
+      EXPECT_EQ(Containment(profiles[a], profiles[b]),
+                ContainmentViaStringMap(columns[a], columns[b]));
     }
   }
 }
@@ -109,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentEquivalenceTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
 
 // String-set oracle for composite containment, written independently of the
-// production TupleKey/TupleHash code.
+// production tuple-hash code.
 double CompositeContainmentOracle(const Table& ta, const std::vector<int>& ca,
                                   const Table& tb,
                                   const std::vector<int>& cb) {
@@ -165,18 +176,6 @@ TEST_P(ContainmentEquivalenceTest, CompositeHashEqualsStringOracle) {
   EXPECT_EQ(CompositeContainment(b, cols, a, cols),
             CompositeContainmentOracle(b, cols, a, cols));
   EXPECT_DOUBLE_EQ(CompositeContainment(a, cols, a, cols), 1.0);
-}
-
-TEST(SketchTest, KmvEstimateIsExactWhenSketchCoversColumns) {
-  // Below k the estimate degenerates to the exact distinct containment.
-  Table t = MakeTable("t", {{"x", SeqCells(1, 40)}, {"y", SeqCells(21, 60)}});
-  ColumnProfile px = ProfileColumn(t.column(0));
-  ColumnProfile py = ProfileColumn(t.column(1));
-  KmvEstimate est = EstimateContainment(px.distinct_hashes,
-                                        px.distinct_counts,
-                                        py.distinct_hashes, 256);
-  EXPECT_EQ(est.sample, 40u);
-  EXPECT_DOUBLE_EQ(est.containment, 0.5);
 }
 
 TEST(SketchTest, BlockingSkipsDisjointHighCardinalityPair) {
@@ -272,12 +271,21 @@ TEST(SketchCorpusTest, ContainmentMatchesReferenceOnTrainingCorpus) {
   ASSERT_FALSE(cases.empty());
   for (const BiCase& bi_case : cases) {
     auto profiles = ProfileTables(bi_case.tables);
+    std::vector<std::vector<DistinctKeyMap>> maps(profiles.size());
+    for (size_t t = 0; t < profiles.size(); ++t) {
+      for (size_t c = 0; c < bi_case.tables[t].num_columns(); ++c) {
+        maps[t].push_back(BuildDistinctKeyMap(bi_case.tables[t].column(c)));
+      }
+    }
     for (size_t ti = 0; ti < profiles.size(); ++ti) {
       for (size_t tj = 0; tj < profiles.size(); ++tj) {
         if (ti == tj) continue;
-        for (const ColumnProfile& pa : profiles[ti].columns) {
-          for (const ColumnProfile& pb : profiles[tj].columns) {
-            ASSERT_EQ(Containment(pa, pb), ContainmentViaStringMap(pa, pb))
+        for (size_t a = 0; a < profiles[ti].columns.size(); ++a) {
+          const ColumnProfile& pa = profiles[ti].columns[a];
+          for (size_t b = 0; b < profiles[tj].columns.size(); ++b) {
+            ASSERT_EQ(Containment(pa, profiles[tj].columns[b]),
+                      ContainmentViaStringMap(maps[ti][a], pa.non_null_count,
+                                              maps[tj][b]))
                 << bi_case.name;
           }
         }

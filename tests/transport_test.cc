@@ -3,9 +3,11 @@
 // splits one multi-megabyte request line into many small writes, packs
 // several requests into one write, and mixes "\r\n" and empty lines. Every
 // request gets exactly one response, in order, with its id echoed, and an
-// accepted shutdown makes RunUnixSocketServer return.
+// accepted shutdown makes RunUnixSocketServer return. A line over the
+// transport's length cap gets one error and does not end the connection.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -159,6 +161,73 @@ TEST(UnixSocketTransportTest, FramesSplitPackedAndCrlfLinesInOrder) {
   server.join();
   EXPECT_TRUE(served.ok()) << served.ToString();
   EXPECT_TRUE(engine.shutdown_requested());
+}
+
+// A request line over the transport's cap (6 * max_csv_bytes + 1 MiB) is
+// answered with one error as soon as it crosses the cap — before its newline
+// has been sent — and the rest of it is dropped; the connection then keeps
+// serving requests.
+TEST(UnixSocketTransportTest, OverCapLineGetsOneErrorAndConnectionContinues) {
+  const std::string path = ::testing::TempDir() + "autobi_transport_cap_" +
+                           std::to_string(::getpid()) + ".sock";
+  LocalModel model;
+  ServeOptions options;
+  options.max_csv_bytes = 16;  // Line cap: 96 B + 1 MiB.
+  const size_t cap = 16 * 6 + (size_t{1} << 20);
+  ServeEngine engine(&model, options);
+  Status served = Status::Internal("server did not return");
+  std::thread server([&] { served = RunUnixSocketServer(&engine, path); });
+  struct StopOnExit {
+    ServeEngine* engine;
+    std::thread* server;
+    ~StopOnExit() {
+      if (!server->joinable()) return;
+      engine->HandleLine(R"({"verb":"shutdown"})");
+      server->join();
+    }
+  } stop_on_exit{&engine, &server};
+
+  int fd = ConnectWithRetry(path);
+  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  // A server that waits for the newline would block the first read forever.
+  timeval timeout{30, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  std::string buffer;
+  std::string line;
+
+  // An upload-shaped line, sent without its newline until the error is back.
+  std::string over = R"({"verb":"upload_table","id":1,"csv":")";
+  over.append(cap + 4096 - over.size(), 'x');
+  ASSERT_TRUE(WriteAll(fd, over.data(), over.size()));
+  ASSERT_TRUE(ReadLine(fd, &buffer, &line));
+  Json error = ParseResponse(line);
+  EXPECT_FALSE(IsOk(error)) << line;
+  EXPECT_EQ(IdOf(error), -1) << line;  // The id was never parsed.
+  const Json* err = error.Find("error");
+  ASSERT_NE(err, nullptr) << line;
+  const Json* code = err->Find("code");
+  ASSERT_NE(code, nullptr) << line;
+  EXPECT_EQ(code->AsString(), "RESOURCE_EXHAUSTED") << line;
+
+  // The rest of the over-cap line, then more requests in the same write.
+  std::string rest(size_t{1} << 20, 'y');
+  rest += "\"}\n";
+  rest += R"({"verb":"ping","id":2})" "\n";
+  rest += R"({"verb":"shutdown","id":3})" "\n";
+  ASSERT_TRUE(WriteAll(fd, rest.data(), rest.size()));
+
+  std::vector<int64_t> ids;
+  while (ReadLine(fd, &buffer, &line)) {
+    Json response = ParseResponse(line);
+    EXPECT_TRUE(IsOk(response)) << line.substr(0, 200);
+    ids.push_back(IdOf(response));
+  }
+  EXPECT_EQ(ids, (std::vector<int64_t>{2, 3}));
+  ::close(fd);
+  server.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
 }
 
 }  // namespace

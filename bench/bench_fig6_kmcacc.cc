@@ -19,6 +19,7 @@
 #include "common/stats_util.h"
 #include "eval/report.h"
 #include "graph/kmca_cc.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 namespace {

@@ -6,10 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "fuzz/differential.h"
-#include "fuzz/generator.h"
-#include "graph/brute_force.h"
 #include "graph/kmca_cc.h"
+#include "tests/fuzz/differential.h"
+#include "tests/fuzz/generator.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 namespace {

@@ -42,7 +42,7 @@ OUT="BENCH.json"
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build "$BUILD_DIR" -j --target bench_micro_profile bench_fig5_latency \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro_profile bench_fig5_latency \
   bench_fig6_kmcacc bench_micro_pipeline bench_serve bench_incremental \
   bench_lake > /dev/null
 

@@ -60,11 +60,11 @@ echo "check.sh: docs lint clean (module map + markdown links)."
 # of src/ next to its own client, so a src/ API change that breaks the
 # request-path benchmark fails here rather than when the benchmark runs.
 cmake -S e2ebench -B build-e2e > /dev/null
-cmake --build build-e2e -j --target e2e_bench
+cmake --build build-e2e -j "$(nproc)" --target e2e_bench
 echo "check.sh: e2ebench builds (target e2e_bench)."
 
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target autobi_parallel_tests autobi_core_tests \
   autobi_fuzz_tests
 
 export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
@@ -98,7 +98,7 @@ echo "check.sh: ThreadSanitizer clean (pipeline + solver determinism)."
 ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
+cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target autobi_profile_ml_tests \
   autobi_integration_tests autobi_faultfuzz
 ORACLE_FILTER='*KernelOracle*:TpchDdl*:*Sketch*:*ContainmentEquivalence*:*Ind*'
 for suite in autobi_profile_ml_tests autobi_integration_tests; do
@@ -113,7 +113,7 @@ echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
 # the steps and cross-checks an uncached Predict after each step — any
 # cached/uncached divergence, crash, leak, or UB fails the run.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-  "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
+  "$ASAN_BUILD_DIR/tests/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
   --scenario schema
 echo "check.sh: schema-evolution differential smoke clean (ASan/UBSan)."
 
@@ -123,7 +123,7 @@ echo "check.sh: schema-evolution differential smoke clean (ASan/UBSan)."
 # per-component solve under random faults and budgets; unfaulted cases are
 # cross-checked bit-identical against the exhaustive all-pairs oracle.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-  "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
+  "$ASAN_BUILD_DIR/tests/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
   --scenario lake
 echo "check.sh: lake blocking differential smoke clean (ASan/UBSan)."
 
@@ -136,7 +136,7 @@ echo "check.sh: lake blocking differential smoke clean (ASan/UBSan)."
 # intact, NamedJoin sets byte-identical, publishes still accepted.
 CRASH_SCRATCH="$(mktemp -d /tmp/autobi_crash.XXXXXX)"
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-  "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 300 \
+  "$ASAN_BUILD_DIR/tests/fuzz/autobi_faultfuzz" --seed 1 --cases 300 \
   --scenario crash --scratch "$CRASH_SCRATCH"
 rm -rf "$CRASH_SCRATCH"
 echo "check.sh: crash-recovery differential smoke clean (ASan/UBSan)."
@@ -149,7 +149,7 @@ echo "check.sh: crash-recovery differential smoke clean (ASan/UBSan)."
 # kill the daemon with SIGKILL — no flush, the crash the journal exists
 # for — then restart from the same state dir and assert the recovered
 # get_catalog_model response is byte-identical before a clean shutdown.
-cmake --build "$BUILD_DIR" -j --target autobi_serve autobi_client
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target autobi_serve autobi_client
 
 wait_for_socket() {  # $1 = socket path, $2 = daemon pid
   for _ in $(seq 1 300); do  # Daemon trains before binding; allow up to 60s.
@@ -220,9 +220,9 @@ fi
 # harness under the same sanitizer build — corpus replay, the bounded gtest
 # campaign, and a fresh randomized campaign against the checked-in corpus.
 if [[ "${AUTOBI_FUZZ_SMOKE:-0}" == "1" ]]; then
-  cmake --build "$BUILD_DIR" -j --target autobi_fuzz autobi_fuzz_tests
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target autobi_fuzz autobi_fuzz_tests
   "$BUILD_DIR/tests/autobi_fuzz_tests" --gtest_filter='FuzzSmoke.*'
-  "$BUILD_DIR/src/fuzz/autobi_fuzz" --seed 1 --cases 1500 --max_edges 14 \
+  "$BUILD_DIR/tests/fuzz/autobi_fuzz" --seed 1 --cases 1500 --max_edges 14 \
     --corpus tests/corpus --no_write
   echo "check.sh: fuzz smoke clean."
 fi
@@ -235,8 +235,8 @@ if [[ "${AUTOBI_FAULT_SMOKE:-0}" == "1" ]]; then
   ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "$ASAN_BUILD_DIR" -j --target autobi_faultfuzz
+  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target autobi_faultfuzz
   UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
-    "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 500
+    "$ASAN_BUILD_DIR/tests/fuzz/autobi_faultfuzz" --seed 1 --cases 500
   echo "check.sh: fault-injection smoke clean (ASan/UBSan)."
 fi

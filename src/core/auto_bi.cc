@@ -117,13 +117,12 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
           std::min(solver.max_one_mca_calls, ctx->budgets.max_one_mca_calls);
     }
     // Partition into connected components. Cost and FK-once are separable
-    // across components, so with 2+ solvable components each is solved
-    // independently (in parallel) and the selections stitched in component
-    // order. With 0-1 solvable components the flat solve runs unchanged —
-    // it is the historical path and the two are NOT guaranteed bit-identical
-    // on cost ties (per-component lexicographic tie-breaks compare local
-    // subsequences, not the global id sequence), so single-island inputs
-    // keep their exact pre-partition outputs.
+    // across components, so every component with an edge is solved on its
+    // own graph and the selections are stitched in component order. Each
+    // component gets the FULL 1-MCA budget: a trip degrades that one
+    // component to its greedy feasible fallback while the others keep their
+    // exact solves. Components are the unit of parallelism; a lone
+    // component gives the run's threads to its wave search instead.
     std::vector<GraphComponent> components = PartitionJoinGraph(graph);
     std::vector<const GraphComponent*> solvable;
     result.partition.components = components.size();
@@ -133,80 +132,72 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
       result.partition.largest_component_edges = std::max(
           result.partition.largest_component_edges, c.edge_ids.size());
     }
+    result.partition.used = solvable.size() >= 2;
+    result.partition.components_solved = solvable.size();
+    result.partition.component_health.resize(solvable.size());
+    solver.threads = solvable.size() == 1 ? options.threads : 1;
+    struct CompSolve {
+      KmcaResult backbone;
+      KmcaCcStats stats;
+      bool skipped = false;
+    };
     Timer kmca_timer;
-    if (solvable.size() <= 1) {
-      KmcaResult backbone = SolveKmcaCc(graph, solver, &result.solver_stats);
-      result.backbone_edges = backbone.edge_ids;
-    } else {
-      result.partition.used = true;
-      result.partition.components_solved = solvable.size();
-      result.partition.component_health.resize(solvable.size());
-      // Each component gets the FULL 1-MCA budget: a trip degrades that one
-      // component to its greedy feasible fallback while the others keep
-      // their exact solves (the flat path would degrade the whole model).
-      KmcaCcOptions comp_solver = solver;
-      comp_solver.threads = 1;  // Components are the unit of parallelism.
-      struct CompSolve {
-        KmcaResult backbone;
-        KmcaCcStats stats;
-        bool skipped = false;
-      };
-      std::vector<CompSolve> solves = ParallelMap(
-          solvable.size(),
-          [&](size_t i) {
-            CompSolve s;
-            // Component-boundary stop poll: a tripped run leaves remaining
-            // components unsolved (empty backbone there, marked below).
-            if (ctx != nullptr && ctx->StopRequested()) {
-              s.skipped = true;
-              return s;
-            }
-            JoinGraph local = BuildComponentGraph(graph, *solvable[i]);
-            s.backbone = SolveKmcaCc(local, comp_solver, &s.stats);
+    std::vector<CompSolve> solves = ParallelMap(
+        solvable.size(),
+        [&](size_t i) {
+          CompSolve s;
+          // Component-boundary stop poll: a tripped run leaves remaining
+          // components unsolved (empty backbone there, marked below).
+          if (ctx != nullptr && ctx->StopRequested()) {
+            s.skipped = true;
             return s;
-          },
-          options.threads);
-      // Stitch serially in component order; map local edge ids back through
-      // the component's ascending edge-id list.
-      size_t skipped = 0;
-      for (size_t i = 0; i < solves.size(); ++i) {
-        const CompSolve& s = solves[i];
-        StageHealth& health = result.partition.component_health[i];
-        if (s.skipped) {
-          ++skipped;
-          health.MarkDegraded("run stopped before component solve");
-          continue;
-        }
-        for (int local_id : s.backbone.edge_ids) {
-          result.backbone_edges.push_back(
-              solvable[i]->edge_ids[size_t(local_id)]);
-        }
-        result.solver_stats.one_mca_calls += s.stats.one_mca_calls;
-        result.solver_stats.nodes += s.stats.nodes;
-        result.solver_stats.pruned += s.stats.pruned;
-        result.solver_stats.memo_hits += s.stats.memo_hits;
-        result.solver_stats.waves += s.stats.waves;
-        if (s.stats.budget_exhausted) {
-          result.solver_stats.budget_exhausted = true;
-          health.MarkDegraded(
-              "1-MCA call budget exhausted; greedy feasible backbone for "
-              "this component");
-        }
+          }
+          JoinGraph local = BuildComponentGraph(graph, *solvable[i]);
+          s.backbone = SolveKmcaCc(local, solver, &s.stats);
+          return s;
+        },
+        options.threads);
+    // Stitch serially in component order; map local edge ids back through
+    // the component's ascending edge-id list.
+    size_t skipped = 0;
+    size_t exhausted = 0;
+    for (size_t i = 0; i < solves.size(); ++i) {
+      const CompSolve& s = solves[i];
+      StageHealth& health = result.partition.component_health[i];
+      if (s.skipped) {
+        ++skipped;
+        health.MarkDegraded("run stopped before component solve");
+        continue;
       }
-      if (skipped > 0) {
-        result.degradation.global_predict.MarkDegraded(StrFormat(
-            "run stopped during partitioned solve; %zu of %zu components "
-            "unsolved",
-            skipped, solves.size()));
+      for (int local_id : s.backbone.edge_ids) {
+        result.backbone_edges.push_back(
+            solvable[i]->edge_ids[size_t(local_id)]);
+      }
+      result.solver_stats.one_mca_calls += s.stats.one_mca_calls;
+      result.solver_stats.nodes += s.stats.nodes;
+      result.solver_stats.pruned += s.stats.pruned;
+      result.solver_stats.memo_hits += s.stats.memo_hits;
+      result.solver_stats.waves += s.stats.waves;
+      if (s.stats.budget_exhausted) {
+        ++exhausted;
+        result.solver_stats.budget_exhausted = true;
+        health.MarkDegraded(
+            "1-MCA call budget exhausted; greedy feasible backbone for "
+            "this component");
       }
     }
     result.kmca_cc_seconds = kmca_timer.Seconds();
-    if (result.solver_stats.budget_exhausted) {
-      result.degradation.global_predict.MarkDegraded(
-          result.partition.used
-              ? "1-MCA call budget exhausted; greedy feasible backbone in "
-                "some components"
-              : "1-MCA call budget exhausted; greedy feasible backbone");
+    if (skipped > 0) {
+      result.degradation.global_predict.MarkDegraded(StrFormat(
+          "run stopped during partitioned solve; %zu of %zu components "
+          "unsolved",
+          skipped, solves.size()));
+    }
+    if (exhausted > 0) {
+      result.degradation.global_predict.MarkDegraded(StrFormat(
+          "1-MCA call budget exhausted in %zu of %zu components; greedy "
+          "feasible backbone there",
+          exhausted, solves.size()));
     }
   } else {
     // Ablation "no-precision-mode": recall mode growing from nothing.
@@ -252,10 +243,9 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
   // candidate generation unless the caller pinned a stage-specific count.
   CandidateGenOptions cand_options = options.candidates;
   if (cand_options.threads == 0) cand_options.threads = options.threads;
-  if (cand_options.cache == nullptr) cand_options.cache = options.cache;
   const bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
-  CandidateSet candidates = GenerateCandidates(tables, table_hashes,
-                                               cand_options, ctx, schema_only);
+  CandidateSet candidates = GenerateCandidates(
+      tables, table_hashes, cand_options, ctx, schema_only, options.cache);
   result.timing.ucc = candidates.ucc_seconds;
   result.timing.ind = candidates.ind_seconds;
   result.degradation.ucc = candidates.ucc_health;
@@ -301,8 +291,8 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
 
   // Only a healthy run may publish its scanned pairs: a degraded one may
   // have truncated, skipped or never scanned candidates.
-  if (cand_options.cache != nullptr && !result.degradation.Any()) {
-    PublishPairEntries(candidates, probabilities, cand_options.cache);
+  if (options.cache != nullptr && !result.degradation.Any()) {
+    PublishPairEntries(candidates, probabilities, options.cache);
   }
   return result;
 }
@@ -327,10 +317,8 @@ StatusOr<AutoBiResult> PredictWithMemos(const LocalModel& model,
     // only budget-admitted tables are hashed. The hashing pass is charged
     // to the UCC bucket, whose stage it serves.
     Timer hash_timer;
-    const bool cached =
-        options.cache != nullptr || options.candidates.cache != nullptr;
     const std::vector<uint64_t> table_hashes = HashTables(
-        tables, ctx, /*admitted_only=*/!cached,
+        tables, ctx, /*admitted_only=*/options.cache == nullptr,
         options.candidates.threads != 0 ? options.candidates.threads
                                         : options.threads);
     const double hash_seconds = hash_timer.Seconds();
@@ -347,31 +335,20 @@ StatusOr<AutoBiResult> PredictWithMemos(const LocalModel& model,
         MixU64(TablesContentHashFromHashes(table_hashes),
                SolveKeyFingerprint(options, ctx));
     if (memo_usable && consult_solve_memo) {
-      if (std::shared_ptr<const PredictCache::SolveEntry> entry =
+      if (std::shared_ptr<const AutoBiResult> entry =
               cache->FindSolve(solve_key)) {
-        AutoBiResult result;
+        AutoBiResult result = *entry;
         result.timing.threads = ResolveThreads(options.threads);
-        result.model = entry->model;
-        result.graph = entry->graph;
-        result.backbone_edges = entry->backbone_edges;
-        result.recall_edges = entry->recall_edges;
-        result.solver_stats = entry->solver_stats;
-        result.ind_stats = entry->ind_stats;
-        result.partition = entry->partition;
         return result;
       }
     }
     AutoBiResult result = RunPipeline(model, options, tables, table_hashes, ctx);
     result.timing.ucc += hash_seconds;
     if (memo_usable && !result.degradation.Any()) {
-      auto entry = std::make_shared<PredictCache::SolveEntry>();
-      entry->model = result.model;
-      entry->graph = result.graph;
-      entry->backbone_edges = result.backbone_edges;
-      entry->recall_edges = result.recall_edges;
-      entry->solver_stats = result.solver_stats;
-      entry->ind_stats = result.ind_stats;
-      entry->partition = result.partition;
+      auto entry = std::make_shared<AutoBiResult>(result);
+      entry->timing = AutoBiTiming{};
+      entry->kmca_cc_seconds = 0.0;
+      entry->incremental = IncrementalStats{};
       cache->InsertSolve(solve_key, std::move(entry));
     }
     return result;

@@ -22,10 +22,12 @@ enum class AutoBiMode {
 
 struct AutoBiOptions {
   AutoBiMode mode = AutoBiMode::kFull;
-  // Worker threads for the data-parallel pipeline stages (profiling/UCC,
-  // IND, local inference). ResolveThreads semantics: 0 = AUTOBI_THREADS env
-  // or hardware concurrency, 1 = serial. Predictions are bit-identical at
-  // any thread count (see ARCHITECTURE.md, "Concurrency model").
+  // Worker threads for the data-parallel pipeline stages: profiling/UCC,
+  // IND, local inference, and the global solve (the per-component fan-out,
+  // or a lone component's wave search). ResolveThreads semantics: 0 =
+  // AUTOBI_THREADS env or hardware concurrency, 1 = serial. Predictions are
+  // bit-identical at any thread count (see ARCHITECTURE.md, "Concurrency
+  // model").
   int threads = 0;
   // Virtual-edge probability: penalty p = -log(this). 0.5 is the calibrated
   // coin-toss default (Section 4.3.2, Figure 9(a)).
@@ -37,11 +39,12 @@ struct AutoBiOptions {
   bool use_precision_mode = true; // false => "no-precision-mode".
   bool lc_only = false;           // true  => "LC-only".
   CandidateGenOptions candidates;
-  KmcaCcOptions solver;  // penalty_weight/enforce_fk_once are overwritten.
+  // penalty_weight, enforce_fk_once and threads are overwritten.
+  KmcaCcOptions solver;
   // Optional cross-request cache (core/predict_cache.h; not owned, must
-  // outlive the predictor). Flows into candidates.cache, where unchanged
-  // tables reuse their profiles and unchanged table pairs their candidates
-  // and calibrated scores, and additionally memoizes whole healthy solves
+  // outlive the predictor). Candidate generation reuses it for unchanged
+  // tables (profiles) and unchanged table pairs (candidates and calibrated
+  // scores), and the predictor additionally memoizes whole healthy solves
   // keyed by the content hash of the table set plus an options/budget
   // fingerprint: a byte-identical re-submission returns the cached result
   // without running the pipeline. Hits are bit-identical to recomputation
@@ -98,8 +101,8 @@ struct IncrementalStats {
 struct AutoBiResult {
   BiModel model;
   AutoBiTiming timing;
-  // Solver telemetry for Figures 6 and 7 (summed over components when the
-  // partitioned solve ran).
+  // Solver telemetry for Figures 6 and 7, summed over the solved
+  // components.
   KmcaCcStats solver_stats;
   double kmca_cc_seconds = 0.0;
   // The constructed join graph (diagnostics / tests).
@@ -166,7 +169,10 @@ BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges);
 // Stage 4 of the pipeline (global prediction), exposed so callers can run
 // and time it on its own graph: consumes result->graph and
 // fills model/backbone_edges/recall_edges/solver_stats/kmca_cc_seconds,
-// timing.global_predict, and degradation.global_predict. Deterministic
+// partition, timing.global_predict, and degradation.global_predict. Every
+// connected component with an edge is solved on its own (k-MCA-CC cost and
+// FK-once are separable across components) and the selections stitched in
+// component order. Deterministic
 // function of (graph, options, ctx stop/budget state).
 void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
                       AutoBiResult* result);

@@ -217,10 +217,8 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options,
                                 const RunContext* ctx) {
   return GenerateCandidates(
-      tables,
-      HashTables(tables, ctx, /*admitted_only=*/options.cache == nullptr,
-                 options.threads),
-      options, ctx, /*schema_only=*/false);
+      tables, HashTables(tables, ctx, /*admitted_only=*/true, options.threads),
+      options, ctx, /*schema_only=*/false, /*cache=*/nullptr);
 }
 
 std::vector<uint64_t> HashTables(const std::vector<Table>& tables,
@@ -243,12 +241,12 @@ std::vector<uint64_t> HashTables(const std::vector<Table>& tables,
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const std::vector<uint64_t>& table_hashes,
                                 const CandidateGenOptions& options,
-                                const RunContext* ctx, bool schema_only) {
+                                const RunContext* ctx, bool schema_only,
+                                PredictCache* cache) {
   CandidateSet out;
   // A run whose context already stopped owes the caller the partial model an
   // uncached run returns, so it consults no memo.
-  PredictCache* cache =
-      ctx != nullptr && ctx->StopRequested() ? nullptr : options.cache;
+  if (ctx != nullptr && ctx->StopRequested()) cache = nullptr;
 
   // Admission under RunContext table budgets: over-budget tables are
   // excluded from value probing up front (deterministically — counted, not
@@ -273,7 +271,7 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   // byte-identical to recomputation:
   //   1. in-run dedup: a table identical to an earlier one in the same case
   //      is profiled once and copied (slot-per-table output stays intact);
-  //   2. the cross-request PredictCache (options.cache), which lets a
+  //   2. the cross-request PredictCache (`cache`), which lets a
   //      re-uploaded unchanged table skip profiling + UCC entirely.
   Timer ucc_timer;
   const size_t n = tables.size();

@@ -32,15 +32,6 @@ struct CandidateGenOptions {
   // 1 = serial. Also the default for ind.threads when that is 0. The
   // candidate set produced is identical at any thread count.
   int threads = 0;
-  // Optional cross-request cache (core/predict_cache.h), shared by the
-  // serving layer across sessions. When set, tables whose content hash
-  // (⊕ the UccOptions fingerprint) matches a cached entry reuse its
-  // profile + UCCs instead of re-scanning (fresh entries are inserted after
-  // profiling), and table pairs found in its pair memo reuse their
-  // candidates instead of being scanned. A hit is byte-identical to
-  // recomputation, so the candidates are unchanged with or without the
-  // cache. Not owned; must outlive the call.
-  PredictCache* cache = nullptr;
 };
 
 // Pair-memo score of a candidate the caller still has to score (a real
@@ -81,7 +72,7 @@ struct CandidateSet {
   size_t profile_cache_hits = 0;
   size_t profile_dedup_hits = 0;
   size_t tables_profiled = 0;
-  // Pair memo (options.cache set, run not stopped at the IND stage):
+  // Pair memo (a cache passed, run not stopped at the IND stage):
   // memo_scores[k] is candidates[k]'s cached calibrated score, or
   // kUnscoredCandidate when the caller must score it (every candidate, when
   // the memo was not consulted). memo_misses are the scanned pairs,
@@ -107,19 +98,23 @@ struct CandidateSet {
 // ucc_health/ind_health; a null or untripped context yields byte-identical
 // output to a context-free run.
 //
-// This form hashes the tables (HashTables; all of them only with
-// options.cache set) and runs the one below with full-feature scoring
-// (schema_only = false).
+// This form is uncached: it hashes the budget-admitted tables (HashTables)
+// and runs the one below with full-feature scoring (schema_only = false)
+// and no PredictCache.
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options = {},
                                 const RunContext* ctx = nullptr);
 
 // The form the prediction pipeline calls (core/auto_bi.cc).
 // `table_hashes[i]` is TableContentHash(tables[i]) (HashTables), computed
-// once per predict and shared by the profile, pair and solve keys. With
-// options.cache set (and ctx not already stopped — a stopped run consults
-// no memo), every unordered table pair is first looked up in the
-// cache's pair memo, serially in index order, under a key of the two
+// once per predict and shared by the profile, pair and solve keys.
+// `cache` (core/predict_cache.h; may be null, not owned) is the
+// cross-request cache the serving layer shares across sessions. With a
+// cache (and ctx not already stopped — a stopped run consults no memo),
+// tables whose content hash (⊕ the UccOptions fingerprint) matches a cached
+// entry reuse its profile + UCCs instead of re-scanning (fresh entries are
+// inserted after profiling), and every unordered table pair is first looked
+// up in the cache's pair memo, serially in index order, under a key of the two
 // tables' hashes (sorted), their admission under ctx's budgets, the
 // candidate options and `schema_only` (which local-model variant the cached
 // scores come from). Hit pairs contribute their cached candidates and
@@ -131,7 +126,8 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const std::vector<uint64_t>& table_hashes,
                                 const CandidateGenOptions& options,
-                                const RunContext* ctx, bool schema_only);
+                                const RunContext* ctx, bool schema_only,
+                                PredictCache* cache);
 
 // Stores the scanned pairs of `set` (set.memo_misses) in `cache`'s pair
 // memo, each with its candidates and their final calibrated scores
@@ -146,8 +142,8 @@ void PublishPairEntries(const CandidateSet& set,
 uint64_t UccOptionsFingerprint(const UccOptions& ucc);
 
 // Everything candidate generation depends on besides the table bytes and
-// the run's budgets (UccOptionsFingerprint included; thread counts and the
-// cache excluded — they never change the output). Part of the pair-memo and
+// the run's budgets (UccOptionsFingerprint included; thread counts
+// excluded — they never change the output). Part of the pair-memo and
 // solve-memo keys.
 uint64_t CandidateOptionsFingerprint(const CandidateGenOptions& options);
 

@@ -91,11 +91,10 @@ std::vector<GraphComponent> PartitionJoinGraph(const JoinGraph& graph);
 JoinGraph BuildComponentGraph(const JoinGraph& graph,
                               const GraphComponent& comp);
 
-// Telemetry of the partitioned global solve (PR 9): how the join graph
-// decomposed into connected components and how each fared. The flat
-// single-instance solve (0 or 1 solvable component) leaves `used` false.
+// Telemetry of the per-component global solve: how the join graph
+// decomposed into connected components and how each fared.
 struct PartitionStats {
-  bool used = false;               // Partitioned path taken this run.
+  bool used = false;               // Two or more components were solved.
   size_t components = 0;           // All components, edgeless singletons too.
   size_t components_solved = 0;    // Components with >= 1 edge (one solve each).
   size_t largest_component_edges = 0;

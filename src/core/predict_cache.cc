@@ -48,14 +48,14 @@ void PredictCache::InsertTable(uint64_t key,
   evictions_ += tables_.Insert(key, std::move(entry), options_.max_table_entries);
 }
 
-std::shared_ptr<const PredictCache::SolveEntry> PredictCache::FindSolve(
+std::shared_ptr<const AutoBiResult> PredictCache::FindSolve(
     uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
   return solves_.Find(key);
 }
 
 void PredictCache::InsertSolve(uint64_t key,
-                               std::shared_ptr<const SolveEntry> entry) {
+                               std::shared_ptr<const AutoBiResult> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   evictions_ += solves_.Insert(key, std::move(entry), options_.max_solve_entries);
 }

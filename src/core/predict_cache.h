@@ -10,12 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/bi_model.h"
-#include "core/graph_builder.h"
-#include "graph/join_graph.h"
-#include "graph/kmca_cc.h"
+#include "core/auto_bi.h"
 #include "profile/column_profile.h"
-#include "profile/ind.h"
 #include "profile/ucc.h"
 
 namespace autobi {
@@ -62,21 +58,6 @@ class PredictCache {
   struct TableEntry {
     TableProfile profile;
     std::vector<Ucc> uccs;
-  };
-
-  // A finished global solve for one (case, options, budgets) key. Timing is
-  // intentionally absent: a warm hit reports its own (near-zero) timings.
-  struct SolveEntry {
-    BiModel model;
-    JoinGraph graph;
-    std::vector<int> backbone_edges;
-    std::vector<int> recall_edges;
-    KmcaCcStats solver_stats;
-    // Work counters of the producing run, replayed verbatim on a hit so warm
-    // results stay bit-identical to cold ones (blocking/pruning counters and
-    // partitioned-solve telemetry included).
-    IndStats ind_stats;
-    PartitionStats partition;
   };
 
   // Candidate generation + scoring output of one unordered table pair
@@ -128,9 +109,11 @@ class PredictCache {
           entries);
 
   // --- Solve memo. `key` = TablesContentHash ⊕ AutoBiOptions/budget
-  // fingerprint (see auto_bi.cc).
-  std::shared_ptr<const SolveEntry> FindSolve(uint64_t key) const;
-  void InsertSolve(uint64_t key, std::shared_ptr<const SolveEntry> entry);
+  // fingerprint (see auto_bi.cc). An entry is a healthy result with its
+  // timings and reuse counters zeroed: those describe the producing run, and
+  // a hit reports its own.
+  std::shared_ptr<const AutoBiResult> FindSolve(uint64_t key) const;
+  void InsertSolve(uint64_t key, std::shared_ptr<const AutoBiResult> entry);
 
   Stats GetStats() const;
   void Clear();
@@ -161,7 +144,7 @@ class PredictCache {
   Options options_;
   mutable std::mutex mu_;
   Shard<TableEntry> tables_;
-  Shard<SolveEntry> solves_;
+  Shard<AutoBiResult> solves_;
   Shard<PairEntry> pairs_;
   size_t evictions_ = 0;
 };

@@ -120,16 +120,6 @@ struct SpanEq {
 // tie-break.
 using OpenItem = std::tuple<double, long, int>;
 
-KmcaResult AssembleResult(const JoinGraph& graph, double best_cost,
-                          std::vector<int> best_edges) {
-  KmcaResult result;
-  result.edge_ids = std::move(best_edges);
-  result.cost = best_cost;
-  result.k = graph.num_vertices() - static_cast<int>(result.edge_ids.size());
-  result.feasible = true;
-  return result;
-}
-
 // Budget-exhausted fallback: the unconstrained relaxation thinned to one
 // edge per conflict group (cheapest wins, ties to the lowest id): dropping
 // edges from a k-arborescence cannot create cycles or in-degree > 1, so the
@@ -355,104 +345,12 @@ KmcaResult SolveKmcaCc(const JoinGraph& graph, const KmcaCcOptions& options,
     // Budget exhausted before any feasible leaf was reached.
     GreedyThinnedFallback(graph, options, stats, &best_cost, &best_edges);
   }
-  return AssembleResult(graph, best_cost, std::move(best_edges));
-}
-
-// --- Legacy reference implementation (frozen; see header). ---------------
-
-namespace {
-
-std::vector<int> LegacyFindConflictSet(const JoinGraph& graph,
-                                       const std::vector<int>& edge_ids) {
-  std::map<int, std::vector<int>> by_source;
-  for (int id : edge_ids) {
-    by_source[graph.edge(id).source_key].push_back(id);
-  }
-  std::vector<int> best;
-  for (auto& [key, group] : by_source) {
-    (void)key;
-    if (group.size() >= 2 && group.size() > best.size()) {
-      best = group;
-    }
-  }
-  return best;
-}
-
-struct LegacySearchState {
-  const JoinGraph* graph;
-  KmcaCcOptions options;
-  KmcaCcStats* stats;
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<int> best_edges;
-  bool have_best = false;
-};
-
-// Recursive branch-and-bound (Algorithm 3). `mask[e]` marks edges still in
-// the graph of this subproblem.
-void LegacySearch(LegacySearchState& state, std::vector<char>& mask) {
-  if (state.stats->one_mca_calls >= state.options.max_one_mca_calls) {
-    state.stats->budget_exhausted = true;
-    return;
-  }
-  ++state.stats->nodes;
-
-  // Line 1: relaxation — solve unconstrained k-MCA on the masked graph.
-  KmcaResult relaxed = SolveKmca(*state.graph, state.options.penalty_weight,
-                                 mask, &state.stats->one_mca_calls);
-
-  // Line 4: bound — constraints can only increase cost.
-  if (state.have_best && relaxed.cost >= state.best_cost - kBoundEps) {
-    ++state.stats->pruned;
-    return;
-  }
-
-  // Line 2: feasibility.
-  std::vector<int> conflict =
-      LegacyFindConflictSet(*state.graph, relaxed.edge_ids);
-  if (conflict.empty()) {
-    state.best_cost = relaxed.cost;
-    state.best_edges = relaxed.edge_ids;
-    state.have_best = true;
-    return;
-  }
-
-  // Lines 7-11: branch — keep exactly one edge of the conflict set per
-  // child.
-  for (int keep : conflict) {
-    for (int id : conflict) {
-      mask[size_t(id)] = (id == keep) ? 1 : 0;
-    }
-    LegacySearch(state, mask);
-  }
-  for (int id : conflict) mask[size_t(id)] = 1;  // Restore.
-}
-
-}  // namespace
-
-KmcaResult SolveKmcaCcLegacy(const JoinGraph& graph,
-                             const KmcaCcOptions& options,
-                             KmcaCcStats* stats) {
-  KmcaCcStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = KmcaCcStats{};
-
-  if (!options.enforce_fk_once) {
-    return SolveKmca(graph, options.penalty_weight, {},
-                     &stats->one_mca_calls);
-  }
-
-  LegacySearchState state;
-  state.graph = &graph;
-  state.options = options;
-  state.stats = stats;
-  std::vector<char> mask(graph.num_edges(), 1);
-  LegacySearch(state, mask);
-
-  if (!state.have_best) {
-    GreedyThinnedFallback(graph, options, stats, &state.best_cost,
-                          &state.best_edges);
-  }
-  return AssembleResult(graph, state.best_cost, std::move(state.best_edges));
+  KmcaResult result;
+  result.edge_ids = std::move(best_edges);
+  result.cost = best_cost;
+  result.k = graph.num_vertices() - static_cast<int>(result.edge_ids.size());
+  result.feasible = true;
+  return result;
 }
 
 double EstimateBruteForceKmcaCalls(int num_vertices) {

@@ -74,15 +74,6 @@ KmcaResult SolveKmcaCc(const JoinGraph& graph,
                        const KmcaCcOptions& options = {},
                        KmcaCcStats* stats = nullptr);
 
-// The original serial depth-first branch-and-bound, re-materializing the
-// augmented arc array at every node. Kept verbatim as a differential oracle
-// (an exact reference without the 2^m edge cap of brute_force.cc) and as the
-// "before" column of bench_fig6_kmcacc. `options.threads` is ignored;
-// `stats->memo_hits`/`waves` stay 0.
-KmcaResult SolveKmcaCcLegacy(const JoinGraph& graph,
-                             const KmcaCcOptions& options = {},
-                             KmcaCcStats* stats = nullptr);
-
 // True if the edge set satisfies FK-once (Equation 16): no two selected
 // edges share the same source column set.
 bool SatisfiesFkOnce(const JoinGraph& graph, const std::vector<int>& edge_ids);

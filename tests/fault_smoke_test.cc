@@ -1,4 +1,4 @@
-// Runs the end-to-end fault-injection campaign (src/fuzz/fault_fuzz.h) as a
+// Runs the end-to-end fault-injection campaign (tests/fuzz/fault_fuzz.h) as a
 // gtest so a plain `ctest` exercises the full service layer: mutated
 // CSV/DDL, ReadCsvFile with io faults armed, and Predict under randomized
 // RunContext budgets/deadlines with candidates.exhausted / parallel.task
@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fuzz/fault_fuzz.h"
+#include "tests/fuzz/fault_fuzz.h"
 
 namespace autobi {
 namespace {

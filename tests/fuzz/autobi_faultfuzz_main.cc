@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "fuzz/fault_fuzz.h"
+#include "tests/fuzz/fault_fuzz.h"
 
 namespace {
 

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "common/strings.h"
-#include "fuzz/fuzzer.h"
+#include "tests/fuzz/fuzzer.h"
 
 namespace {
 

@@ -1,4 +1,4 @@
-#include "fuzz/corpus.h"
+#include "tests/fuzz/corpus.h"
 
 #include <algorithm>
 #include <cstdio>

@@ -1,5 +1,5 @@
-#ifndef AUTOBI_FUZZ_CORPUS_H_
-#define AUTOBI_FUZZ_CORPUS_H_
+#ifndef AUTOBI_TESTS_FUZZ_CORPUS_H_
+#define AUTOBI_TESTS_FUZZ_CORPUS_H_
 
 #include <string>
 #include <vector>
@@ -45,4 +45,4 @@ std::vector<std::string> ListCorpusFiles(const std::string& dir);
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_CORPUS_H_
+#endif  // AUTOBI_TESTS_FUZZ_CORPUS_H_

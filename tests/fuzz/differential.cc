@@ -1,4 +1,4 @@
-#include "fuzz/differential.h"
+#include "tests/fuzz/differential.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "graph/brute_force.h"
 #include "graph/ems.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 

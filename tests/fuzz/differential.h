@@ -1,12 +1,12 @@
-#ifndef AUTOBI_FUZZ_DIFFERENTIAL_H_
-#define AUTOBI_FUZZ_DIFFERENTIAL_H_
+#ifndef AUTOBI_TESTS_FUZZ_DIFFERENTIAL_H_
+#define AUTOBI_TESTS_FUZZ_DIFFERENTIAL_H_
 
 #include <string>
 #include <vector>
 
-#include "fuzz/generator.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
+#include "tests/fuzz/generator.h"
 
 namespace autobi {
 
@@ -57,4 +57,4 @@ CheckResult CheckArcDifferential(const ArcInstance& instance);
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_DIFFERENTIAL_H_
+#endif  // AUTOBI_TESTS_FUZZ_DIFFERENTIAL_H_

@@ -1,4 +1,4 @@
-#include "fuzz/fault_fuzz.h"
+#include "tests/fuzz/fault_fuzz.h"
 
 #include <algorithm>
 #include <cstdio>

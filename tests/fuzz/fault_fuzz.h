@@ -1,5 +1,5 @@
-#ifndef AUTOBI_FUZZ_FAULT_FUZZ_H_
-#define AUTOBI_FUZZ_FAULT_FUZZ_H_
+#ifndef AUTOBI_TESTS_FUZZ_FAULT_FUZZ_H_
+#define AUTOBI_TESTS_FUZZ_FAULT_FUZZ_H_
 
 #include <cstdint>
 #include <string>
@@ -95,4 +95,4 @@ std::string FormatFaultFuzzReport(const FaultFuzzReport& report);
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_FAULT_FUZZ_H_
+#endif  // AUTOBI_TESTS_FUZZ_FAULT_FUZZ_H_

@@ -1,14 +1,14 @@
-#include "fuzz/fuzzer.h"
+#include "tests/fuzz/fuzzer.h"
 
 #include <algorithm>
 #include <chrono>
 
 #include "common/strings.h"
-#include "fuzz/corpus.h"
-#include "fuzz/differential.h"
-#include "fuzz/generator.h"
-#include "fuzz/metamorphic.h"
-#include "fuzz/minimize.h"
+#include "tests/fuzz/corpus.h"
+#include "tests/fuzz/differential.h"
+#include "tests/fuzz/generator.h"
+#include "tests/fuzz/metamorphic.h"
+#include "tests/fuzz/minimize.h"
 
 namespace autobi {
 

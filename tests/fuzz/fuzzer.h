@@ -1,5 +1,5 @@
-#ifndef AUTOBI_FUZZ_FUZZER_H_
-#define AUTOBI_FUZZ_FUZZER_H_
+#ifndef AUTOBI_TESTS_FUZZ_FUZZER_H_
+#define AUTOBI_TESTS_FUZZ_FUZZER_H_
 
 #include <cstdint>
 #include <string>
@@ -59,4 +59,4 @@ std::string FormatFuzzReport(const FuzzReport& report);
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_FUZZER_H_
+#endif  // AUTOBI_TESTS_FUZZ_FUZZER_H_

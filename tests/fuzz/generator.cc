@@ -1,4 +1,4 @@
-#include "fuzz/generator.h"
+#include "tests/fuzz/generator.h"
 
 #include <algorithm>
 #include <cmath>

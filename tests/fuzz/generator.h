@@ -1,5 +1,5 @@
-#ifndef AUTOBI_FUZZ_GENERATOR_H_
-#define AUTOBI_FUZZ_GENERATOR_H_
+#ifndef AUTOBI_TESTS_FUZZ_GENERATOR_H_
+#define AUTOBI_TESTS_FUZZ_GENERATOR_H_
 
 #include <string>
 #include <vector>
@@ -84,4 +84,4 @@ std::string FormatArcInstance(const ArcInstance& instance);
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_GENERATOR_H_
+#endif  // AUTOBI_TESTS_FUZZ_GENERATOR_H_

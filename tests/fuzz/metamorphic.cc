@@ -1,4 +1,4 @@
-#include "fuzz/metamorphic.h"
+#include "tests/fuzz/metamorphic.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,9 +1,9 @@
-#ifndef AUTOBI_FUZZ_METAMORPHIC_H_
-#define AUTOBI_FUZZ_METAMORPHIC_H_
+#ifndef AUTOBI_TESTS_FUZZ_METAMORPHIC_H_
+#define AUTOBI_TESTS_FUZZ_METAMORPHIC_H_
 
 #include "common/rng.h"
-#include "fuzz/differential.h"
 #include "graph/join_graph.h"
+#include "tests/fuzz/differential.h"
 
 namespace autobi {
 
@@ -43,4 +43,4 @@ MetamorphicOutcome CheckJoinGraphMetamorphic(const JoinGraph& graph,
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_METAMORPHIC_H_
+#endif  // AUTOBI_TESTS_FUZZ_METAMORPHIC_H_

@@ -1,4 +1,4 @@
-#include "fuzz/minimize.h"
+#include "tests/fuzz/minimize.h"
 
 #include <vector>
 

@@ -1,10 +1,10 @@
-#ifndef AUTOBI_FUZZ_MINIMIZE_H_
-#define AUTOBI_FUZZ_MINIMIZE_H_
+#ifndef AUTOBI_TESTS_FUZZ_MINIMIZE_H_
+#define AUTOBI_TESTS_FUZZ_MINIMIZE_H_
 
 #include <functional>
 
-#include "fuzz/differential.h"
 #include "graph/join_graph.h"
+#include "tests/fuzz/differential.h"
 
 namespace autobi {
 
@@ -39,4 +39,4 @@ MinimizedInstance MinimizeFailure(const JoinGraph& g, double penalty_weight,
 
 }  // namespace autobi
 
-#endif  // AUTOBI_FUZZ_MINIMIZE_H_
+#endif  // AUTOBI_TESTS_FUZZ_MINIMIZE_H_

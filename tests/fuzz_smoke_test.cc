@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "fuzz/fuzzer.h"
+#include "tests/fuzz/fuzzer.h"
 
 namespace autobi {
 namespace {

@@ -3,15 +3,15 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "fuzz/corpus.h"
-#include "fuzz/differential.h"
-#include "graph/brute_force.h"
 #include "graph/edmonds.h"
 #include "graph/ems.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "tests/fuzz/corpus.h"
+#include "tests/fuzz/differential.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 namespace {

@@ -16,12 +16,13 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fuzz/corpus.h"
-#include "fuzz/generator.h"
 #include "graph/edmonds.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
+#include "tests/fuzz/corpus.h"
+#include "tests/fuzz/generator.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 namespace {
@@ -154,7 +155,9 @@ TEST(SolverDeterminismTest, ReusedWorkspaceMatchesRecursiveReference) {
     auto legacy = SolveMinCostArborescenceLegacy(inst.num_vertices, inst.arcs,
                                                  inst.root);
     ASSERT_EQ(ok, legacy.has_value()) << FormatArcInstance(inst);
-    if (ok) EXPECT_EQ(workspace.selected(), *legacy) << FormatArcInstance(inst);
+    if (ok) {
+      EXPECT_EQ(workspace.selected(), *legacy) << FormatArcInstance(inst);
+    }
   }
 }
 

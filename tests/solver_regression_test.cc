@@ -5,13 +5,13 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fuzz/generator.h"
-#include "graph/brute_force.h"
 #include "graph/edmonds.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "tests/fuzz/generator.h"
+#include "tests/oracles/solver_oracle.h"
 
 namespace autobi {
 namespace {

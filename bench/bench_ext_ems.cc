@@ -8,8 +8,7 @@
 
 #include "bench/bench_common.h"
 #include "common/strings.h"
-#include "core/candidates.h"
-#include "core/graph_builder.h"
+#include "core/auto_bi.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "graph/ems.h"
@@ -30,8 +29,7 @@ int main() {
   std::vector<EdgeMetrics> exact_metrics;
 
   for (const BiCase& bi_case : real.cases) {
-    CandidateSet cands = GenerateCandidates(bi_case.tables);
-    JoinGraph graph = BuildJoinGraph(bi_case.tables, cands, model, false);
+    JoinGraph graph = AutoBi(&model).Predict(bi_case.tables).graph;
     KmcaResult backbone = SolveKmcaCc(graph);
     // Count remaining promising edges; the exact solver is exponential.
     size_t remaining = 0;

@@ -11,8 +11,8 @@
 #include "common/timer.h"
 #include "eval/report.h"
 #include "profile/ind.h"
-#include "profile/spider.h"
 #include "synth/bi_generator.h"
+#include "tests/oracles/spider.h"
 
 int main() {
   using namespace autobi;

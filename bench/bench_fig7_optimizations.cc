@@ -11,8 +11,7 @@
 #include "bench/bench_common.h"
 #include "common/strings.h"
 #include "common/stats_util.h"
-#include "core/candidates.h"
-#include "core/graph_builder.h"
+#include "core/auto_bi.h"
 #include "eval/report.h"
 #include "graph/kmca_cc.h"
 
@@ -27,8 +26,7 @@ int main() {
   std::vector<double> unpruned_calls;        // No branch-and-bound.
   std::vector<double> optimized_calls;       // Algorithm 3 (measured).
   for (const BiCase& bi_case : real.cases) {
-    CandidateSet cands = GenerateCandidates(bi_case.tables);
-    JoinGraph graph = BuildJoinGraph(bi_case.tables, cands, model, false);
+    JoinGraph graph = AutoBi(&model).Predict(bi_case.tables).graph;
     brute_force_calls.push_back(
         EstimateBruteForceKmcaCalls(graph.num_vertices()));
     unpruned_calls.push_back(EstimateUnprunedBranchCalls(graph));

@@ -56,6 +56,24 @@ done < <(grep -oHE '\]\([^)]+\.md[^)]*\)' ./*.md \
 [[ "$docs_fail" == "0" ]] || exit 1
 echo "check.sh: docs lint clean (module map + markdown links)."
 
+# --- Layering lint (always on; no build needed). Oracles and harnesses live
+# in test code and production code never depends on them: no file under
+# src/ may include a tests/ header, and no src/**/CMakeLists.txt may name a
+# tests/ path outside a comment.
+layer_fail=0
+if grep -rnE '#[[:space:]]*include[[:space:]]*[<"]tests/' src; then
+  echo "check.sh: LINT FAIL — a file under src/ includes a tests/ header;" \
+       "move the code it needs into src/ or the caller into tests/." >&2
+  layer_fail=1
+fi
+if find src -name CMakeLists.txt -exec grep -nHE '^[^#]*tests/' {} +; then
+  echo "check.sh: LINT FAIL — a src/ CMakeLists.txt names a tests/ path;" \
+       "production targets must not build or link test code." >&2
+  layer_fail=1
+fi
+[[ "$layer_fail" == "0" ]] || exit 1
+echo "check.sh: layering lint clean (no tests/ code in src/)."
+
 # --- Benchmark build (always on): e2ebench/ compiles the library sources
 # of src/ next to its own client, so a src/ API change that breaks the
 # request-path benchmark fails here rather than when the benchmark runs.

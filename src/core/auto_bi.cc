@@ -26,6 +26,13 @@ AutoBi::AutoBi(const LocalModel* model, AutoBiOptions options)
   AUTOBI_CHECK(model_ != nullptr);
 }
 
+Join EdgeToJoin(const JoinEdge& edge) {
+  return Join{ColumnRef{edge.src, edge.src_columns},
+              ColumnRef{edge.dst, edge.dst_columns},
+              edge.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne}
+      .Normalized();
+}
+
 BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges) {
   BiModel model;
   std::set<int> used_pairs;
@@ -35,11 +42,7 @@ BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges) {
       if (used_pairs.count(e.pair_id)) continue;
       used_pairs.insert(e.pair_id);
     }
-    Join join;
-    join.from = ColumnRef{e.src, e.src_columns};
-    join.to = ColumnRef{e.dst, e.dst_columns};
-    join.kind = e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne;
-    model.joins.push_back(join.Normalized());
+    model.joins.push_back(EdgeToJoin(e));
   }
   return model;
 }

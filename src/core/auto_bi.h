@@ -162,6 +162,10 @@ class AutoBi {
   AutoBiOptions options_;
 };
 
+// The normalized BiModel join an edge stands for (both orientations of a 1:1
+// pair map to the same join).
+Join EdgeToJoin(const JoinEdge& edge);
+
 // Converts selected graph edges into BiModel joins (1:1 pairs deduplicated to
 // a single normalized join).
 BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges);

@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "core/join_stats.h"
-#include "profile/column_profile.h"
 #include "text/similarity.h"
 #include "text/tokenize.h"
 
@@ -24,28 +23,27 @@ std::string RefName(const std::vector<Table>& tables, int table,
 }
 
 // Recomputes the salient evidence for an edge directly from the data (the
-// trained model's internals are not needed for a faithful narrative).
+// trained model's internals are not needed for a faithful narrative). The
+// join is executed on its whole key tuple — the check a user would run by
+// hand before trusting the relationship — and its match rate, key
+// uniqueness and fan-out are reported.
 std::vector<std::string> Evidence(const std::vector<Table>& tables,
-                                  const std::vector<TableProfile>& profiles,
-                                  const JoinEdge& e) {
+                                  const JoinEdge& e, const Join& join) {
   std::vector<std::string> out;
-  const ColumnProfile& src =
-      profiles[size_t(e.src)].columns[size_t(e.src_columns[0])];
-  const ColumnProfile& dst =
-      profiles[size_t(e.dst)].columns[size_t(e.dst_columns[0])];
-  double containment = Containment(src, dst);
-  if (containment >= 0.99) {
-    out.push_back("every value has a match in the referenced column");
-  } else if (containment >= 0.9) {
-    out.push_back(StrFormat("%.0f%% of values have a match", containment * 100));
+  const JoinStats stats = ComputeJoinStats(tables, join);
+  const double match_rate = stats.MatchRate();
+  if (match_rate >= 0.99) {
+    out.push_back("every value has a match in the referenced key");
+  } else if (match_rate >= 0.9) {
+    out.push_back(StrFormat("%.0f%% of values have a match", match_rate * 100));
   } else {
     out.push_back(StrFormat("only %.0f%% of values have a match (dirty join)",
-                            containment * 100));
+                            match_rate * 100));
   }
-  if (dst.IsUnique()) {
-    out.push_back("referenced column is a unique key");
+  if (stats.RightKeyUnique()) {
+    out.push_back("referenced key is unique");
   } else {
-    out.push_back("referenced column is NOT unique — review this join");
+    out.push_back("referenced key is NOT unique — review this join");
   }
 
   std::string src_name = RefName(tables, e.src, e.src_columns);
@@ -66,13 +64,6 @@ std::vector<std::string> Evidence(const std::vector<Table>& tables,
     out.push_back("both sides are keys with mutual containment (1:1)");
   }
 
-  // Execute the join and report its cardinality behaviour — the check a
-  // user would run by hand before trusting the relationship.
-  Join join;
-  join.from = ColumnRef{e.src, e.src_columns};
-  join.to = ColumnRef{e.dst, e.dst_columns};
-  join.kind = e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne;
-  JoinStats stats = ComputeJoinStats(tables, join);
   if (stats.max_fanout > 1) {
     out.push_back(StrFormat("join fans out (up to %zu matches per row)",
                             stats.max_fanout));
@@ -94,7 +85,6 @@ std::string JoinExplanation::ToString(
 
 std::vector<JoinExplanation> ExplainPrediction(
     const std::vector<Table>& tables, const AutoBiResult& result) {
-  std::vector<TableProfile> profiles = ProfileTables(tables);
   std::set<int> backbone(result.backbone_edges.begin(),
                          result.backbone_edges.end());
 
@@ -107,13 +97,10 @@ std::vector<JoinExplanation> ExplainPrediction(
       used_pairs.insert(e.pair_id);
     }
     JoinExplanation ex;
-    ex.join.from = ColumnRef{e.src, e.src_columns};
-    ex.join.to = ColumnRef{e.dst, e.dst_columns};
-    ex.join.kind = e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne;
-    ex.join = ex.join.Normalized();
+    ex.join = EdgeToJoin(e);
     ex.probability = e.probability;
     ex.stage = backbone.count(id) ? "precision-mode backbone" : "recall mode";
-    ex.evidence = Evidence(tables, profiles, e);
+    ex.evidence = Evidence(tables, e, ex.join);
     out.push_back(std::move(ex));
   };
   for (int id : result.backbone_edges) add(id);

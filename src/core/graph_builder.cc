@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "fuzz/faultpoints.h"
 
 namespace autobi {
@@ -127,23 +126,6 @@ JoinGraph BuildComponentGraph(const JoinGraph& graph,
                   e.dst_columns, e.probability, e.one_to_one, e.pair_id);
   }
   return local;
-}
-
-JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
-                         const CandidateSet& candidates,
-                         const LocalModel& model, bool schema_only,
-                         double* local_inference_seconds, int threads,
-                         const RunContext* run_ctx, StageHealth* health) {
-  Timer timer;
-  std::vector<double> probabilities =
-      ScoreCandidates(tables, candidates.profiles, candidates.candidates,
-                      model, schema_only, threads, run_ctx);
-  JoinGraph graph = BuildJoinGraphFromScores(
-      tables.size(), candidates.candidates, probabilities, health);
-  if (local_inference_seconds != nullptr) {
-    *local_inference_seconds = timer.Seconds();
-  }
-  return graph;
 }
 
 }  // namespace autobi

@@ -13,40 +13,21 @@ namespace autobi {
 // Algorithm 1: turns scored candidates into the weighted global join graph.
 // Each N:1 candidate becomes a directed edge (FK side -> PK side); each 1:1
 // candidate becomes a bi-directional edge pair. Edge weights are
-// w = -log(P) with P the calibrated local-classifier probability.
-//
-// Returns the graph; `edge_probabilities` come from `model` evaluated with
-// `schema_only` features. `local_inference_seconds`, if non-null, receives
-// the featurize+score latency (the Local-Inference component of Fig 5(b)).
-// Candidates are featurized and scored in parallel (`threads` as in
-// ResolveThreads); edges are then added serially in candidate order, so edge
-// ids and probabilities are identical at any thread count.
-//
-// If `run_ctx` is non-null, each candidate's scoring polls
-// RunContext::StopRequested at its boundary; candidates skipped after a
-// deadline/cancel trip are dropped from the graph and `health` (if non-null)
-// is marked degraded. A null or untripped context yields a byte-identical
-// graph.
-JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
-                         const CandidateSet& candidates,
-                         const LocalModel& model, bool schema_only,
-                         double* local_inference_seconds = nullptr,
-                         int threads = 0,
-                         const RunContext* run_ctx = nullptr,
-                         StageHealth* health = nullptr);
-
-// --- The two halves of BuildJoinGraph, exposed so the pipeline can score
-// only the candidates its pair memo did not answer (reusing cached
-// probabilities elsewhere) and still assemble the exact graph an uncached
-// run would build.
+// w = -log(P) with P the calibrated local-classifier probability. The
+// pipeline (core/auto_bi.cc) runs it in two halves so it can score only the
+// candidates its pair memo did not answer (reusing cached probabilities
+// elsewhere) and still assemble the exact graph an uncached run would build.
 
 // Sentinel probability marking a candidate whose scoring was skipped after a
 // RunContext deadline/cancel trip (real scores are in [0, 1]).
 inline constexpr double kSkippedCandidateScore = -1.0;
 
-// Featurizes and scores `candidates` in parallel — the ParallelMap half of
-// BuildJoinGraph, byte-identical scores in candidate order. Skipped
-// candidates (stop trip) get kSkippedCandidateScore.
+// Featurizes and scores `candidates` in parallel with `model` evaluated on
+// `schema_only` features (`threads` as in ResolveThreads); scores are
+// byte-identical in candidate order at any thread count. If `run_ctx` is
+// non-null, each candidate polls RunContext::StopRequested at its boundary,
+// and candidates skipped after a deadline/cancel trip get
+// kSkippedCandidateScore.
 std::vector<double> ScoreCandidates(const std::vector<Table>& tables,
                                     const std::vector<TableProfile>& profiles,
                                     const std::vector<JoinCandidate>& candidates,
@@ -55,9 +36,9 @@ std::vector<double> ScoreCandidates(const std::vector<Table>& tables,
                                     const RunContext* run_ctx = nullptr);
 
 // The serial edge-add half: builds the graph from pre-scored candidates in
-// candidate order, dropping kSkippedCandidateScore entries (and marking
-// `health` degraded if any were dropped). BuildJoinGraph ==
-// BuildJoinGraphFromScores(tables.size(), cands, ScoreCandidates(...)).
+// candidate order, so edge ids are identical at any thread count, dropping
+// kSkippedCandidateScore entries (and marking `health` degraded if any were
+// dropped).
 JoinGraph BuildJoinGraphFromScores(size_t num_tables,
                                    const std::vector<JoinCandidate>& candidates,
                                    const std::vector<double>& probabilities,

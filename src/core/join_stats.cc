@@ -46,7 +46,9 @@ JoinStats ComputeJoinStats(const std::vector<Table>& tables,
   std::unordered_map<std::string, size_t> right_counts;
   std::string key;
   for (size_t r = 0; r < right.num_rows(); ++r) {
-    if (TupleKey(right, join.to.columns, r, &key)) ++right_counts[key];
+    if (!TupleKey(right, join.to.columns, r, &key)) continue;
+    ++stats.right_rows;
+    ++right_counts[key];
   }
   stats.right_distinct = right_counts.size();
 

@@ -16,6 +16,8 @@ namespace autobi {
 struct JoinStats {
   // FK-side rows with a non-null key.
   size_t left_rows = 0;
+  // PK-side rows with a non-null key.
+  size_t right_rows = 0;
   // Distinct keys on each side.
   size_t left_distinct = 0;
   size_t right_distinct = 0;
@@ -32,6 +34,10 @@ struct JoinStats {
   }
   bool LooksLikeCleanNToOne() const {
     return max_fanout <= 1 && MatchRate() >= 0.95;
+  }
+  // The PK side is a key: non-empty, and no non-null tuple repeats.
+  bool RightKeyUnique() const {
+    return right_rows > 0 && right_distinct == right_rows;
   }
 
   std::string ToString() const;

@@ -4,8 +4,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "graph/ems.h"
-#include "graph/kmca_cc.h"
 
 namespace autobi {
 
@@ -21,10 +19,7 @@ std::vector<std::vector<JoinSuggestion>> SuggestJoins(
       groups;
   for (const JoinEdge& e : result.graph.edges()) {
     JoinSuggestion s;
-    s.join.from = ColumnRef{e.src, e.src_columns};
-    s.join.to = ColumnRef{e.dst, e.dst_columns};
-    s.join.kind = e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne;
-    s.join = s.join.Normalized();
+    s.join = EdgeToJoin(e);
     s.probability = e.probability;
     s.chosen_by_auto_bi = result.model.Contains(s.join);
     groups[{e.src, e.src_columns}].push_back(std::move(s));
@@ -57,68 +52,42 @@ std::vector<Join> PredictJoinsForNewTable(const std::vector<Table>& tables,
                                           const AutoBiOptions& options) {
   // invariant: documented API precondition (the new table is tables.back()).
   AUTOBI_CHECK(!tables.empty());
-  int new_table = int(tables.size()) - 1;
-
-  CandidateSet candidates = GenerateCandidates(tables, options.candidates);
-  bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
-  JoinGraph graph =
-      BuildJoinGraph(tables, candidates, model, schema_only, nullptr);
+  const int new_table = int(tables.size()) - 1;
+  const JoinGraph graph = AutoBi(&model, options).Predict(tables).graph;
 
   // Force the confirmed joins: give their edges probability ~1 (weight ~0)
   // so the global solve keeps them — and, crucially, lets them occupy
   // in-degrees and FK-once slots the new table's candidates must respect.
   constexpr double kConfirmedProbability = 1.0 - 1e-6;
-  JoinGraph forced(graph.num_vertices());
-  std::vector<char> is_confirmed_edge;
-  auto matches_confirmed = [&](const JoinEdge& e) {
-    Join as_join;
-    as_join.from = ColumnRef{e.src, e.src_columns};
-    as_join.to = ColumnRef{e.dst, e.dst_columns};
-    as_join.kind = e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne;
-    return confirmed.Contains(as_join.Normalized());
-  };
+  AutoBiResult forced;
+  forced.graph = JoinGraph(graph.num_vertices());
   std::vector<char> covered(confirmed.joins.size(), 0);
   for (const JoinEdge& e : graph.edges()) {
-    bool conf = matches_confirmed(e);
-    if (conf) {
-      for (size_t i = 0; i < confirmed.joins.size(); ++i) {
-        Join as_join{ColumnRef{e.src, e.src_columns},
-                     ColumnRef{e.dst, e.dst_columns},
-                     e.one_to_one ? JoinKind::kOneToOne : JoinKind::kNToOne};
-        if (confirmed.joins[i] == as_join) covered[i] = 1;
+    const Join join = EdgeToJoin(e);
+    bool is_confirmed = false;
+    for (size_t i = 0; i < confirmed.joins.size(); ++i) {
+      if (confirmed.joins[i] == join) {
+        covered[i] = 1;
+        is_confirmed = true;
       }
     }
-    forced.AddEdge(e.src, e.dst, e.src_columns, e.dst_columns,
-                   conf ? kConfirmedProbability : e.probability,
-                   e.one_to_one, e.pair_id);
-    is_confirmed_edge.push_back(conf ? 1 : 0);
+    forced.graph.AddEdge(e.src, e.dst, e.src_columns, e.dst_columns,
+                         is_confirmed ? kConfirmedProbability : e.probability,
+                         e.one_to_one, e.pair_id);
   }
   // Confirmed joins with no surviving candidate edge (e.g. user-specified
   // joins the IND pass would not re-derive) are injected directly.
   for (size_t i = 0; i < confirmed.joins.size(); ++i) {
     if (covered[i]) continue;
     const Join& j = confirmed.joins[i];
-    forced.AddEdge(j.from.table, j.to.table, j.from.columns, j.to.columns,
-                   kConfirmedProbability,
-                   j.kind == JoinKind::kOneToOne, -1);
-    is_confirmed_edge.push_back(1);
+    forced.graph.AddEdge(j.from.table, j.to.table, j.from.columns,
+                         j.to.columns, kConfirmedProbability,
+                         j.kind == JoinKind::kOneToOne, -1);
   }
 
-  KmcaCcOptions solver = options.solver;
-  solver.penalty_weight =
-      -std::log(JoinGraph::ClampProbability(options.penalty_probability));
-  solver.enforce_fk_once = options.enforce_fk_once;
-  KmcaResult backbone = SolveKmcaCc(forced, solver);
-  EmsOptions ems;
-  ems.tau = options.tau;
-  std::vector<int> extra = SolveEmsGreedy(forced, backbone.edge_ids, ems);
-
-  std::vector<int> all = backbone.edge_ids;
-  all.insert(all.end(), extra.begin(), extra.end());
-  BiModel predicted = EdgesToModel(forced, all);
-
+  RunGlobalPredict(options, nullptr, &forced);
   std::vector<Join> out;
-  for (const Join& j : predicted.joins) {
+  for (const Join& j : forced.model.joins) {
     if (j.from.table == new_table || j.to.table == new_table) {
       out.push_back(j);
     }

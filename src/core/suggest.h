@@ -31,8 +31,11 @@ std::vector<std::vector<JoinSuggestion>> SuggestJoins(
 
 // Incremental prediction: the user has a confirmed model over `tables` and
 // appends one new table. Predicts only the joins involving the new table,
-// holding `confirmed` fixed (confirmed joins are forced into the backbone
-// with probability ~1, so the global solve respects them). Returns joins
+// holding `confirmed` fixed: the pipeline's join graph (AutoBi::Predict
+// under `options`, its cache included) is re-solved by RunGlobalPredict
+// with the confirmed joins forced to probability ~1, so they occupy the
+// in-degrees and FK-once slots the new table's candidates must respect.
+// `options` applies throughout (mode, ablations, threads). Returns joins
 // that involve the new table (its index is tables.size() - 1).
 std::vector<Join> PredictJoinsForNewTable(const std::vector<Table>& tables,
                                           const BiModel& confirmed,

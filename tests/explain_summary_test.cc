@@ -141,5 +141,26 @@ TEST(ExplainTest, EvidenceMentionsContainmentAndKeys) {
   EXPECT_EQ(ex[0].stage, "precision-mode backbone");
 }
 
+TEST(ExplainTest, CompositeEvidenceUsesTheWholeKeyTuple) {
+  // lines(part, supp) -> partsupp(part, supp): the referenced pair is a key
+  // although its first column repeats, and one line's pair has no match
+  // although its first value does.
+  std::vector<Table> tables;
+  tables.push_back(MakeTable("lines", {{"part", {"1", "1", "2", "2"}},
+                                       {"supp", {"1", "2", "1", "3"}}}));
+  tables.push_back(MakeTable("partsupp", {{"part", {"1", "1", "2", "2"}},
+                                          {"supp", {"1", "2", "1", "2"}}}));
+  AutoBiResult result;
+  result.graph = JoinGraph(2);
+  result.graph.AddEdge(0, 1, {0, 1}, {0, 1}, 0.9);
+  result.backbone_edges = {0};
+  auto ex = ExplainPrediction(tables, result);
+  ASSERT_EQ(ex.size(), 1u);
+  const std::vector<std::string>& evidence = ex[0].evidence;
+  ASSERT_GE(evidence.size(), 2u);
+  EXPECT_EQ(evidence[0], "only 75% of values have a match (dirty join)");
+  EXPECT_EQ(evidence[1], "referenced key is unique");
+}
+
 }  // namespace
 }  // namespace autobi

@@ -4,9 +4,9 @@
 //   - A graph with one edge-bearing component plus isolated vertices gets
 //     exactly the backbone and solver stats of SolveKmcaCc on the whole
 //     graph.
-//   - The solve honours AutoBiOptions::threads, whatever AUTOBI_THREADS says
-//     (GlobalSolvePool runs as its own ctest entry, so the shared pool
-//     starts empty).
+//   - The solve honours AutoBiOptions::threads, whatever AUTOBI_THREADS says,
+//     also when PredictJoinsForNewTable drives it (GlobalSolvePool runs as
+//     its own ctest entry, so the shared pool starts empty).
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,11 @@
 #include "common/rng.h"
 #include "core/auto_bi.h"
 #include "core/graph_builder.h"
+#include "core/suggest.h"
 #include "graph/join_graph.h"
 #include "graph/kmca_cc.h"
 #include "tests/fuzz/generator.h"
+#include "tests/test_util.h"
 
 namespace autobi {
 namespace {
@@ -130,6 +132,38 @@ TEST(GlobalSolvePool, SingleThreadedRunLeavesPoolEmpty) {
   RunGlobalPredict(PrecisionOnly(0.5, /*threads=*/1), nullptr, &result);
   EXPECT_GE(result.solver_stats.waves, 2);
   EXPECT_GE(result.solver_stats.nodes, 3);
+  EXPECT_EQ(ThreadPool::Global().size(), 0);
+  unsetenv("AUTOBI_THREADS");
+}
+
+// The whole new-table path — profiling, IND, scoring and both solves —
+// runs on the calling thread when options.threads is 1.
+TEST(GlobalSolvePool, SingleThreadedNewTablePredictLeavesPoolEmpty) {
+  ASSERT_EQ(setenv("AUTOBI_THREADS", "8", 1), 0);
+  ASSERT_EQ(ThreadPool::Global().size(), 0)
+      << "run this test in a process of its own";
+  std::vector<Table> tables;
+  tables.push_back(MakeTable(
+      "fact", {{"cust_id", {"1", "2", "3", "1", "2", "3", "2", "1"}},
+               {"prod_id", {"1", "2", "3", "4", "1", "2", "3", "4"}}}));
+  tables.push_back(MakeTable("customers", {{"cust_id", SeqCells(1, 5)}}));
+  tables.push_back(MakeTable("products", {{"prod_id", SeqCells(1, 6)}}));
+  tables.push_back(MakeTable(
+      "visits", {{"cust_id", {"1", "1", "2", "3", "2", "1"}},
+                 {"prod_id", {"4", "3", "2", "1", "2", "3"}}}));
+  BiModel confirmed;
+  confirmed.joins.push_back(
+      Join{ColumnRef{0, {0}}, ColumnRef{1, {0}}, JoinKind::kNToOne});
+  confirmed.joins.push_back(
+      Join{ColumnRef{0, {1}}, ColumnRef{2, {0}}, JoinKind::kNToOne});
+  LocalModel model;  // Untrained: every candidate scores 0.5.
+  AutoBiOptions options;
+  options.threads = 1;
+  std::vector<Join> joins =
+      PredictJoinsForNewTable(tables, confirmed, model, options);
+  for (const Join& j : joins) {
+    EXPECT_TRUE(j.from.table == 3 || j.to.table == 3);
+  }
   EXPECT_EQ(ThreadPool::Global().size(), 0);
   unsetenv("AUTOBI_THREADS");
 }

@@ -27,11 +27,21 @@ std::vector<Table> BuilderTables() {
   return tables;
 }
 
+// Algorithm 1 over every candidate: score them all, then add the edges.
+JoinGraph ScoreAndBuild(const std::vector<Table>& tables,
+                        const CandidateSet& cands, const LocalModel& model,
+                        bool schema_only) {
+  return BuildJoinGraphFromScores(
+      tables.size(), cands.candidates,
+      ScoreCandidates(tables, cands.profiles, cands.candidates, model,
+                      schema_only));
+}
+
 TEST(GraphBuilderTest, EdgesMirrorCandidates) {
   std::vector<Table> tables = BuilderTables();
   CandidateSet cands = GenerateCandidates(tables);
   LocalModel model;  // Untrained: every score is 0.5.
-  JoinGraph graph = BuildJoinGraph(tables, cands, model, false);
+  JoinGraph graph = ScoreAndBuild(tables, cands, model, false);
   EXPECT_EQ(graph.num_vertices(), 3);
   // Each 1:1 candidate contributes 2 edges, each N:1 contributes 1.
   size_t expected = 0;
@@ -45,7 +55,7 @@ TEST(GraphBuilderTest, WeightsAreNegLogOfScore) {
   std::vector<Table> tables = BuilderTables();
   CandidateSet cands = GenerateCandidates(tables);
   LocalModel model;
-  JoinGraph graph = BuildJoinGraph(tables, cands, model, false);
+  JoinGraph graph = ScoreAndBuild(tables, cands, model, false);
   for (const JoinEdge& e : graph.edges()) {
     EXPECT_NEAR(e.weight, -std::log(e.probability), 1e-12);
     EXPECT_NEAR(e.probability, 0.5, 1e-9);  // Untrained fallback.
@@ -56,7 +66,7 @@ TEST(GraphBuilderTest, OneToOneCandidatesBecomePairs) {
   std::vector<Table> tables = BuilderTables();
   CandidateSet cands = GenerateCandidates(tables);
   LocalModel model;
-  JoinGraph graph = BuildJoinGraph(tables, cands, model, false);
+  JoinGraph graph = ScoreAndBuild(tables, cands, model, false);
   // customers <-> cust_info is 1:1-shaped; find its two orientations.
   int forward = -1, backward = -1;
   for (const JoinEdge& e : graph.edges()) {
@@ -69,13 +79,28 @@ TEST(GraphBuilderTest, OneToOneCandidatesBecomePairs) {
   EXPECT_EQ(graph.edge(forward).pair_id, graph.edge(backward).pair_id);
 }
 
-TEST(GraphBuilderTest, TimingReported) {
+TEST(GraphBuilderTest, SkippedScoresAreDroppedAndMarkDegraded) {
   std::vector<Table> tables = BuilderTables();
   CandidateSet cands = GenerateCandidates(tables);
-  LocalModel model;
-  double seconds = -1.0;
-  BuildJoinGraph(tables, cands, model, false, &seconds);
-  EXPECT_GE(seconds, 0.0);
+  ASSERT_GE(cands.candidates.size(), 2u);
+  std::vector<double> scores(cands.candidates.size(), 0.7);
+  scores[0] = kSkippedCandidateScore;
+  StageHealth health;
+  JoinGraph graph =
+      BuildJoinGraphFromScores(tables.size(), cands.candidates, scores,
+                               &health);
+  size_t expected = 0;
+  for (size_t i = 1; i < cands.candidates.size(); ++i) {
+    expected += cands.candidates[i].one_to_one ? 2 : 1;
+  }
+  EXPECT_EQ(graph.num_edges(), expected);
+  EXPECT_TRUE(health.degraded);
+
+  StageHealth untouched;
+  scores[0] = 0.7;
+  BuildJoinGraphFromScores(tables.size(), cands.candidates, scores,
+                           &untouched);
+  EXPECT_FALSE(untouched.degraded);
 }
 
 TEST(GraphBuilderTest, SchemaOnlyScoresDifferFromFullOnceTrained) {
@@ -90,8 +115,8 @@ TEST(GraphBuilderTest, SchemaOnlyScoresDifferFromFullOnceTrained) {
   opt.forest.num_trees = 8;
   LocalModel model = TrainLocalModel(corpus, opt);
   CandidateSet cands = GenerateCandidates(c.tables);
-  JoinGraph full = BuildJoinGraph(c.tables, cands, model, false);
-  JoinGraph schema = BuildJoinGraph(c.tables, cands, model, true);
+  JoinGraph full = ScoreAndBuild(c.tables, cands, model, false);
+  JoinGraph schema = ScoreAndBuild(c.tables, cands, model, true);
   ASSERT_EQ(full.num_edges(), schema.num_edges());
   bool any_diff = false;
   for (size_t i = 0; i < full.num_edges(); ++i) {

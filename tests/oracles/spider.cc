@@ -1,4 +1,4 @@
-#include "profile/spider.h"
+#include "tests/oracles/spider.h"
 
 #include <algorithm>
 #include <queue>

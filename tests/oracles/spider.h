@@ -1,5 +1,5 @@
-#ifndef AUTOBI_PROFILE_SPIDER_H_
-#define AUTOBI_PROFILE_SPIDER_H_
+#ifndef AUTOBI_TESTS_ORACLES_SPIDER_H_
+#define AUTOBI_TESTS_ORACLES_SPIDER_H_
 
 #include <vector>
 
@@ -12,10 +12,10 @@ namespace autobi {
 // referenced-set is intersected with the set of columns sharing each of its
 // values, so a single pass finds every exact inclusion dependency. This is
 // the "efficient IND enumeration" alternative the paper cites as standard
-// pre-processing; the default pipeline uses hash-based approximate
-// containment (profile/ind.h) because BI joins are often not perfectly
-// inclusive, but on clean data the two agree (see bench_ext_ind and the
-// property tests).
+// pre-processing; the pipeline uses hash-based approximate containment
+// (profile/ind.h) because BI joins are often not perfectly inclusive, but on
+// clean data the two agree. A reference for spider_test and bench_ext_ind
+// only; nothing under src/ links it.
 struct SpiderInd {
   ColumnRef dependent;
   ColumnRef referenced;
@@ -30,4 +30,4 @@ std::vector<SpiderInd> DiscoverExactIndsSpider(
 
 }  // namespace autobi
 
-#endif  // AUTOBI_PROFILE_SPIDER_H_
+#endif  // AUTOBI_TESTS_ORACLES_SPIDER_H_

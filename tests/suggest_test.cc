@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.h"
 #include "core/trainer.h"
+#include "synth/corpus.h"
+#include "synth/tpch_ddl.h"
+#include "tests/oracles/suggest_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {
@@ -128,6 +134,112 @@ TEST(PredictJoinsForNewTableTest, UnjoinableTableYieldsNothing) {
   tables.push_back(MakeTable(
       "disconnected", {{"zz", {"9001", "9002", "9003"}}}));
   EXPECT_TRUE(PredictJoinsForNewTable(tables, confirmed, model).empty());
+}
+
+// --- The pipeline form against the frozen flat solve.
+
+// One model for the seeded suites below (training dominates their runtime).
+const LocalModel& SharedModel() {
+  static const LocalModel* model = [] {
+    CorpusOptions opt;
+    opt.seed = 1616;
+    opt.training_cases = 50;
+    TrainerOptions trainer;
+    trainer.forest.num_trees = 16;
+    return new LocalModel(TrainLocalModel(BuildTrainingCorpus(opt), trainer));
+  }();
+  return *model;
+}
+
+// Five REAL cases from each of the ten table-count buckets plus two TPC-H
+// schemas built from DDL. In each, the last table is the new one and the
+// confirmed model is the ground truth among the other tables.
+std::vector<BiCase> NewTableCases() {
+  CorpusOptions opt;
+  opt.seed = 2016;
+  opt.cases_per_bucket = 5;
+  std::vector<BiCase> cases = BuildRealBenchmark(opt).cases;
+  for (uint64_t seed : {16u, 61u}) {
+    Rng rng(seed);
+    StatusOr<BiCase> tpch = GenerateTpchFromDdl(0.05, rng);
+    EXPECT_TRUE(tpch.ok()) << tpch.status().ToString();
+    if (tpch.ok()) cases.push_back(std::move(tpch).value());
+  }
+  return cases;
+}
+
+BiModel ConfirmedWithoutLastTable(const BiCase& c) {
+  const int last = int(c.tables.size()) - 1;
+  BiModel confirmed;
+  for (const Join& j : c.ground_truth.joins) {
+    if (j.from.table != last && j.to.table != last) {
+      confirmed.joins.push_back(j);
+    }
+  }
+  return confirmed;
+}
+
+// Order-insensitive: RunGlobalPredict sorts the selected edges, the flat
+// solve lists the backbone before the recall edges.
+bool SameJoinSet(const std::vector<Join>& a, const std::vector<Join>& b) {
+  BiModel in_a{a};
+  BiModel in_b{b};
+  if (a.size() != b.size()) return false;
+  for (const Join& j : a) {
+    if (!in_b.Contains(j)) return false;
+  }
+  for (const Join& j : b) {
+    if (!in_a.Contains(j)) return false;
+  }
+  return true;
+}
+
+std::string Render(const std::vector<Table>& tables,
+                   const std::vector<Join>& joins) {
+  std::string out;
+  for (const Join& j : joins) out += JoinToString(tables, j) + "; ";
+  return out;
+}
+
+TEST(PredictJoinsForNewTableTest, MatchesFlatOracleOnSeededCases) {
+  const std::vector<BiCase> cases = NewTableCases();
+  ASSERT_GE(cases.size(), 50u);
+  size_t nonempty = 0;
+  for (const BiCase& c : cases) {
+    const BiModel confirmed = ConfirmedWithoutLastTable(c);
+    std::vector<Join> got =
+        PredictJoinsForNewTable(c.tables, confirmed, SharedModel());
+    std::vector<Join> want =
+        PredictJoinsForNewTableFlat(c.tables, confirmed, SharedModel());
+    EXPECT_TRUE(SameJoinSet(got, want))
+        << c.name << "\n  pipeline: " << Render(c.tables, got)
+        << "\n  flat:     " << Render(c.tables, want);
+    if (!got.empty()) ++nonempty;
+  }
+  // The comparison means something only if new tables do get joins.
+  EXPECT_GE(nonempty, cases.size() / 2);
+}
+
+TEST(PredictJoinsForNewTableTest, PrecisionOnlyReturnsNoRecallModeJoin) {
+  AutoBiOptions precision_only;
+  precision_only.mode = AutoBiMode::kPrecisionOnly;
+  size_t recall_joins = 0;
+  for (const BiCase& c : NewTableCases()) {
+    const BiModel confirmed = ConfirmedWithoutLastTable(c);
+    std::vector<Join> backbone = PredictJoinsForNewTable(
+        c.tables, confirmed, SharedModel(), precision_only);
+    BiModel full{PredictJoinsForNewTable(c.tables, confirmed, SharedModel())};
+    // Both modes solve the same backbone; recall mode only adds to it.
+    for (const Join& j : backbone) {
+      EXPECT_TRUE(full.Contains(j)) << c.name << ": "
+                                    << JoinToString(c.tables, j);
+    }
+    ASSERT_GE(full.joins.size(), backbone.size()) << c.name;
+    recall_joins += full.joins.size() - backbone.size();
+  }
+  // Recall mode does add joins to some new table, and precision mode
+  // leaves every one of them out.
+  EXPECT_GT(recall_joins, 0u);
 }
 
 }  // namespace
